@@ -14,9 +14,12 @@
 //!
 //! Search order is chosen by static selectivity (literal labels before
 //! `OneOf` before wildcards), a micro query-planner. Nondeterminism is
-//! honest: given an RNG, every candidate list is shuffled, so any fireable
-//! tuple can be selected — the paper's "reactions occur freely" — while
-//! remaining reproducible from the seed.
+//! honest: given an RNG, every search level draws its candidates
+//! uniformly without replacement, so any fireable tuple can be selected —
+//! the paper's "reactions occur freely" — while remaining reproducible
+//! from the seed. The draw is lazy (a sparse Fisher–Yates shuffle): a
+//! level pays for the candidates it examines, not for copying and
+//! shuffling its whole bucket.
 
 use crate::expr::{Env, EvalError, Expr};
 use crate::spec::{
@@ -24,8 +27,8 @@ use crate::spec::{
     SpecError, TagPat, TagSpec, ValuePat,
 };
 use crate::vm::{ClauseGuardChunk, GuardEvalMode, OutputChunks, ReactionVm, Tier};
-use gammaflow_multiset::{ElemId, Element, ElementBag, FxHashMap, Symbol, Tag, Value};
-use rand::seq::SliceRandom;
+use gammaflow_multiset::{ElemId, Element, ElementBag, FxHashMap, Symbol, Tag, Value, ValueBucket};
+use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
 /// Variable bindings as value slots; implements [`Env`] for expression
@@ -198,6 +201,15 @@ pub trait MatchSource {
         };
         (count, id)
     }
+
+    /// The source's own columnar bucket for `(label, tag)`, when it
+    /// keeps one in place: the seeded search then draws physical rows
+    /// straight from it instead of copying [`MatchSource::values_at`]
+    /// first. `Some(None)` is an absent bucket; `None` (the default)
+    /// means the source keeps no in-place buckets.
+    fn bucket_in_place(&self, _label: Symbol, _tag: Tag) -> Option<Option<&ValueBucket>> {
+        None
+    }
 }
 
 impl MatchSource for ElementBag {
@@ -266,13 +278,16 @@ impl MatchSource for ElementBag {
         };
         (count, id)
     }
+
+    fn bucket_in_place(&self, label: Symbol, tag: Tag) -> Option<Option<&ValueBucket>> {
+        Some(self.bucket(label, tag))
+    }
 }
 
-/// Reusable per-depth candidate buffers for the shuffled (seeded) search
+/// Reusable per-depth candidate buffers and draws for the seeded search
 /// path. One `SearchScratch` lives for a whole engine run, so the steady
 /// state of the matcher allocates nothing: every probe reuses these
-/// vectors instead of collecting fresh `Vec`s at each search depth
-/// (the allocation hot spot the delta-scheduling PR removes).
+/// buffers instead of collecting fresh `Vec`s at each search depth.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     levels: Vec<ScratchLevel>,
@@ -288,7 +303,95 @@ pub struct SearchScratch {
 struct ScratchLevel {
     labels: Vec<Symbol>,
     tags: Vec<Tag>,
+    /// Copied bucket rows, for sources without in-place buckets only.
     values: Vec<(Value, usize)>,
+    label_draw: LazyDraw,
+    tag_draw: LazyDraw,
+    value_draw: LazyDraw,
+}
+
+/// Uniform draws without replacement from `0..n`: an incremental
+/// Fisher–Yates shuffle that stops when the caller does, so a search
+/// level pays for the candidates it examines, not for shuffling all of
+/// them. Drawing until `None` visits every index exactly once, which
+/// keeps a failed search exact.
+///
+/// Up to [`LazyDraw::DENSE_MAX`] indices the permutation is held in
+/// full (filling it is cheaper than hashing); above, only the swaps made
+/// so far are kept, so setup is O(1) and each draw O(1). Both forms
+/// make the same swaps, so they draw the same sequence from the same
+/// stream. The last remaining index is taken without consuming
+/// randomness, as is the only index of a one-candidate level.
+#[derive(Debug, Default)]
+pub(crate) struct LazyDraw {
+    n: u32,
+    drawn: u32,
+    /// The permutation, for `n <= DENSE_MAX`; empty otherwise.
+    dense: Vec<u32>,
+    /// For `n > DENSE_MAX`: positions `>= drawn` whose content was
+    /// swapped away from the identity.
+    swaps: FxHashMap<u32, u32>,
+}
+
+impl LazyDraw {
+    /// Largest `n` whose permutation is held in full.
+    const DENSE_MAX: u32 = 64;
+
+    /// Start a fresh draw over `0..n`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.n = u32::try_from(n).expect("candidate count fits u32");
+        self.drawn = 0;
+        self.dense.clear();
+        if self.n <= Self::DENSE_MAX {
+            self.dense.extend(0..self.n);
+        } else {
+            self.swaps.clear();
+        }
+    }
+
+    /// The next index, or `None` once all `n` were drawn.
+    pub(crate) fn next(&mut self, rng: &mut ChaCha8Rng) -> Option<usize> {
+        let k = self.drawn;
+        if k >= self.n {
+            return None;
+        }
+        let left = self.n - k;
+        let j = if left == 1 {
+            k
+        } else {
+            k + (rng.next_u64() % u64::from(left)) as u32
+        };
+        self.drawn += 1;
+        if self.n <= Self::DENSE_MAX {
+            self.dense.swap(k as usize, j as usize);
+            return Some(self.dense[k as usize] as usize);
+        }
+        let at = |i: u32| self.swaps.get(&i).copied().unwrap_or(i);
+        let picked = at(j);
+        if j != k {
+            let head = at(k);
+            self.swaps.insert(j, head);
+        }
+        self.swaps.remove(&k);
+        Some(picked as usize)
+    }
+}
+
+/// Draw the next *live* physical row of `bucket`: tombstones are
+/// rejected and the draw continues, so the first row returned is uniform
+/// over live rows and exhausting the draw visits every live row exactly
+/// once. Compaction keeps tombstones to at most about half the rows.
+pub(crate) fn draw_live_row(
+    bucket: &ValueBucket,
+    draw: &mut LazyDraw,
+    rng: &mut ChaCha8Rng,
+) -> Option<usize> {
+    while let Some(i) = draw.next(rng) {
+        if bucket.row(i).1 > 0 {
+            return Some(i);
+        }
+    }
+    None
 }
 
 impl SearchScratch {
@@ -297,10 +400,12 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    fn ensure_depth(&mut self, depth: usize) {
+    /// The per-depth levels for a search over (at least) `depth` levels.
+    fn levels(&mut self, depth: usize) -> &mut [ScratchLevel] {
         if self.levels.len() < depth {
             self.levels.resize_with(depth, ScratchLevel::default);
         }
+        &mut self.levels
     }
 }
 
@@ -764,164 +869,21 @@ impl CompiledReaction {
     }
 
     /// Find one enabled match in `bag`, or `None` if the reaction is not
-    /// enabled anywhere. With an RNG, candidate orders are shuffled so the
-    /// selected tuple is a uniform-ish draw from the enabled set; without,
-    /// the search is deterministic (first match in index order).
+    /// enabled anywhere. With an RNG, every search level draws its
+    /// candidates uniformly without replacement, so the selected tuple is
+    /// a uniform-ish draw from the enabled set; without, the search is
+    /// deterministic (first match in index order).
     ///
-    /// `reaction_index` is recorded into the returned [`Firing`].
+    /// `reaction_index` is recorded into the returned [`Firing`]. Long
+    /// runs should call [`Self::find_match_fast`] with a reused
+    /// [`SearchScratch`] instead.
     pub fn find_match<S: MatchSource>(
         &self,
         reaction_index: usize,
         bag: &S,
-        mut rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut ChaCha8Rng>,
     ) -> Result<Option<Firing>, MatchError> {
-        let mut bindings = Bindings::new(self.nvars, &self.var_index);
-        // consumed[i] is the element matched by replace-list position i.
-        let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
-        let found = self.search(0, bag, &mut bindings, &mut consumed, &mut rng)?;
-        if !found {
-            return Ok(None);
-        }
-        let consumed: Vec<Element> = consumed.into_iter().map(|e| e.unwrap()).collect();
-        let (clause, produced) = self
-            .outputs_for(&bindings)?
-            .expect("search only succeeds with an enabled clause");
-        Ok(Some(Firing {
-            reaction: reaction_index,
-            consumed,
-            produced,
-            clause,
-        }))
-    }
-
-    /// Depth-first search over search-plan step `depth`.
-    fn search<S: MatchSource>(
-        &self,
-        depth: usize,
-        bag: &S,
-        bindings: &mut Bindings<'_>,
-        consumed: &mut [Option<Element>],
-        rng: &mut Option<&mut ChaCha8Rng>,
-    ) -> Result<bool, MatchError> {
-        if depth == self.order.len() {
-            // Full tuple bound: check `where`, then that some clause guard
-            // holds. Condition evaluation errors mean "not enabled".
-            return Ok(self.accept(bindings));
-        }
-        let pos_idx = self.order[depth];
-        let pat = &self.positions[pos_idx];
-
-        // Candidate labels.
-        let mut labels: Vec<Symbol> = match &pat.label {
-            LabelFilter::Exact(l) => vec![*l],
-            LabelFilter::OneOf(ls) => ls.to_vec(),
-            LabelFilter::Any => bag.all_labels(),
-        };
-        if let Some(r) = rng.as_deref_mut() {
-            labels.shuffle(r);
-        }
-
-        for label in labels {
-            // Candidate tags for this label.
-            let bound_tag = pat.tag_var.and_then(|v| bindings.get_tag(v));
-            let mut tags: Vec<Tag> = match (pat.tag_lit, bound_tag, pat.tag_any) {
-                (Some(t), _, _) => vec![t],
-                (None, Some(t), _) => vec![t],
-                _ => bag.tags_for_label(label),
-            };
-            if tags.len() > 1 {
-                if let Some(r) = rng.as_deref_mut() {
-                    tags.shuffle(r);
-                }
-            }
-
-            for tag in tags {
-                // Candidate values in this bucket. When the value is
-                // already pinned (literal pattern or repeated variable) we
-                // only need its exact multiplicity.
-                let bound_value = pat
-                    .value_var
-                    .and_then(|v| bindings.slots[v as usize].clone());
-                let mut values: Vec<(Value, usize)> = match (&pat.value_lit, &bound_value) {
-                    (Some(lit), _) => {
-                        vec![(lit.clone(), bag.count_at(label, tag, lit))]
-                    }
-                    (None, Some(b)) => vec![(b.clone(), bag.count_at(label, tag, b))],
-                    _ => bag.values_at(label, tag),
-                };
-                if values.len() > 1 {
-                    if let Some(r) = rng.as_deref_mut() {
-                        values.shuffle(r);
-                    }
-                }
-
-                'values: for (value, available) in values {
-                    let candidate = Element {
-                        value: value.clone(),
-                        label,
-                        tag,
-                    };
-                    // Multiplicity: the bucket must hold more occurrences
-                    // than earlier positions already consumed.
-                    if available == 0 {
-                        continue;
-                    }
-                    let already_used = consumed
-                        .iter()
-                        .flatten()
-                        .filter(|e| **e == candidate)
-                        .count();
-                    if already_used >= available {
-                        continue;
-                    }
-
-                    // Bind fields, tracking fresh bindings for backtracking.
-                    let mut fresh: Vec<u16> = Vec::with_capacity(3);
-                    let mut ok = true;
-                    if let Some(v) = pat.value_var {
-                        match bindings.bind(v, value.clone()) {
-                            Some(true) => fresh.push(v),
-                            Some(false) => {}
-                            None => ok = false,
-                        }
-                    }
-                    if ok {
-                        if let Some(v) = pat.label_var {
-                            match bindings.bind(v, Value::str(label.as_str())) {
-                                Some(true) => fresh.push(v),
-                                Some(false) => {}
-                                None => ok = false,
-                            }
-                        }
-                    }
-                    if ok {
-                        if let Some(v) = pat.tag_var {
-                            match bindings.bind(v, Value::Int(tag.0 as i64)) {
-                                Some(true) => fresh.push(v),
-                                Some(false) => {}
-                                None => ok = false,
-                            }
-                        }
-                    }
-                    if !ok {
-                        for v in fresh {
-                            bindings.unbind(v);
-                        }
-                        continue 'values;
-                    }
-
-                    consumed[pos_idx] = Some(candidate);
-                    if self.search(depth + 1, bag, bindings, consumed, rng)? {
-                        return Ok(true);
-                    }
-                    consumed[pos_idx] = None;
-                    for v in fresh {
-                        bindings.unbind(v);
-                    }
-                }
-            }
-        }
-        Ok(false)
+        self.find_match_fast(reaction_index, bag, rng, &mut SearchScratch::new())
     }
 
     // --- delta-scheduling fast paths ------------------------------------
@@ -1000,7 +962,7 @@ impl CompiledReaction {
     }
 
     /// Full-tuple acceptance: `where` condition plus some enabled clause.
-    /// Condition evaluation errors mean "not enabled", as in [`Self::search`].
+    /// Condition evaluation errors mean "not enabled".
     fn accept(&self, bindings: &Bindings<'_>) -> bool {
         match self.vm.mode() {
             GuardEvalMode::Vm => {
@@ -1064,10 +1026,10 @@ impl CompiledReaction {
         Some((fresh, nfresh))
     }
 
-    /// Deterministic allocation-free search: finds the same first-in-index-
-    /// order tuple as the materialising [`Self::search`] with no RNG, but by
-    /// lazy iteration over the bag index — no candidate vectors are built,
-    /// so a probe costs exactly the candidates it inspects.
+    /// Deterministic allocation-free search: finds the first tuple in
+    /// index order by lazy iteration over the bag index — no candidate
+    /// vectors are built, so a probe costs exactly the candidates it
+    /// inspects.
     fn det_search<S: MatchSource>(
         &self,
         depth: usize,
@@ -1210,9 +1172,11 @@ impl CompiledReaction {
         false
     }
 
-    /// Seeded search over reusable scratch buffers: same candidate
-    /// shuffling as [`Self::search`], but per-depth candidate lists live in
-    /// `scratch` instead of fresh `Vec`s.
+    /// Seeded search over reusable scratch buffers. Each level draws its
+    /// labels, tags and bucket rows uniformly without replacement
+    /// ([`LazyDraw`]), so a level costs the candidates it examines: an
+    /// in-place bucket is never copied or shuffled, and a failed level
+    /// has still visited every live candidate.
     #[allow(clippy::too_many_arguments)]
     fn scratch_search<S: MatchSource>(
         &self,
@@ -1228,8 +1192,7 @@ impl CompiledReaction {
             return self.accept(bindings);
         }
         let (level, rest) = scratch.split_first_mut().expect("scratch sized to arity");
-        let pos_idx = order[depth];
-        let pat = &self.positions[pos_idx];
+        let pat = &self.positions[order[depth]];
 
         level.labels.clear();
         match &pat.label {
@@ -1240,9 +1203,8 @@ impl CompiledReaction {
                 true
             }),
         }
-        level.labels.shuffle(rng);
-
-        for li in 0..level.labels.len() {
+        level.label_draw.reset(level.labels.len());
+        while let Some(li) = level.label_draw.next(rng) {
             let label = level.labels[li];
             let bound_tag = pat.tag_var.and_then(|v| bindings.get_tag(v));
             level.tags.clear();
@@ -1253,70 +1215,109 @@ impl CompiledReaction {
                     true
                 }),
             }
-            if level.tags.len() > 1 {
-                level.tags.shuffle(rng);
-            }
-
-            for ti in 0..level.tags.len() {
+            level.tag_draw.reset(level.tags.len());
+            while let Some(ti) = level.tag_draw.next(rng) {
                 let tag = level.tags[ti];
                 let bound_value = pat
                     .value_var
                     .and_then(|v| bindings.slots[v as usize].clone());
-                level.values.clear();
-                match (&pat.value_lit, &bound_value) {
-                    (Some(lit), _) => {
-                        let c = bag.count_at(label, tag, lit);
-                        level.values.push((lit.clone(), c));
-                    }
-                    (None, Some(b)) => {
-                        let c = bag.count_at(label, tag, b);
-                        level.values.push((b.clone(), c));
-                    }
-                    _ => bag.visit_values(label, tag, &mut |v, c| {
-                        level.values.push((v.clone(), c));
-                        true
-                    }),
-                }
-                if level.values.len() > 1 {
-                    level.values.shuffle(rng);
-                }
-
-                'values: for vi in 0..level.values.len() {
-                    let (value, available) = {
-                        let entry = &level.values[vi];
-                        (entry.0.clone(), entry.1)
-                    };
-                    if available == 0 {
-                        continue;
-                    }
-                    let candidate = Element {
-                        value: value.clone(),
-                        label,
-                        tag,
-                    };
-                    let already_used = consumed
-                        .iter()
-                        .flatten()
-                        .filter(|e| **e == candidate)
-                        .count();
-                    if already_used >= available {
-                        continue;
-                    }
-                    let Some((fresh, nfresh)) =
-                        self.bind_position(pat, label, tag, &value, bindings)
-                    else {
-                        continue 'values;
-                    };
-                    consumed[pos_idx] = Some(candidate);
-                    if self.scratch_search(depth + 1, order, bag, bindings, consumed, rng, rest) {
+                let pinned = match (&pat.value_lit, bound_value) {
+                    (Some(lit), _) => Some(lit.clone()),
+                    (None, bound) => bound,
+                };
+                if let Some(value) = pinned {
+                    let available = bag.count_at(label, tag, &value);
+                    if self.scratch_value(
+                        depth, order, label, tag, &value, available, bag, bindings, consumed, rng,
+                        rest,
+                    ) {
                         return true;
                     }
-                    consumed[pos_idx] = None;
-                    for &v in &fresh[..nfresh] {
-                        bindings.unbind(v);
+                    continue;
+                }
+                match bag.bucket_in_place(label, tag) {
+                    Some(None) => {}
+                    Some(Some(bucket)) => {
+                        level.value_draw.reset(bucket.row_len());
+                        while let Some(i) = draw_live_row(bucket, &mut level.value_draw, rng) {
+                            let (value, available) = bucket.row(i);
+                            if self.scratch_value(
+                                depth, order, label, tag, value, available, bag, bindings,
+                                consumed, rng, rest,
+                            ) {
+                                return true;
+                            }
+                        }
+                    }
+                    None => {
+                        level.values.clear();
+                        bag.visit_values(label, tag, &mut |v, c| {
+                            level.values.push((v.clone(), c));
+                            true
+                        });
+                        level.value_draw.reset(level.values.len());
+                        while let Some(vi) = level.value_draw.next(rng) {
+                            let (value, available) = &level.values[vi];
+                            if self.scratch_value(
+                                depth, order, label, tag, value, *available, bag, bindings,
+                                consumed, rng, rest,
+                            ) {
+                                return true;
+                            }
+                        }
                     }
                 }
             }
+        }
+        false
+    }
+
+    /// One drawn candidate of [`Self::scratch_search`]: check the
+    /// multiplicity against earlier positions, bind, and recurse.
+    #[allow(clippy::too_many_arguments)]
+    fn scratch_value<S: MatchSource>(
+        &self,
+        depth: usize,
+        order: &[usize],
+        label: Symbol,
+        tag: Tag,
+        value: &Value,
+        available: usize,
+        bag: &S,
+        bindings: &mut Bindings<'_>,
+        consumed: &mut [Option<Element>],
+        rng: &mut ChaCha8Rng,
+        rest: &mut [ScratchLevel],
+    ) -> bool {
+        if available == 0 {
+            return false;
+        }
+        let candidate = Element {
+            value: value.clone(),
+            label,
+            tag,
+        };
+        let already_used = consumed
+            .iter()
+            .flatten()
+            .filter(|e| **e == candidate)
+            .count();
+        if already_used >= available {
+            return false;
+        }
+        let pos_idx = order[depth];
+        let Some((fresh, nfresh)) =
+            self.bind_position(&self.positions[pos_idx], label, tag, value, bindings)
+        else {
+            return false;
+        };
+        consumed[pos_idx] = Some(candidate);
+        if self.scratch_search(depth + 1, order, bag, bindings, consumed, rng, rest) {
+            return true;
+        }
+        consumed[pos_idx] = None;
+        for &v in &fresh[..nfresh] {
+            bindings.unbind(v);
         }
         false
     }
@@ -1342,8 +1343,7 @@ impl CompiledReaction {
 
     /// Like [`Self::find_match`], but allocation-free on the steady state:
     /// deterministic mode iterates the index lazily, seeded mode reuses
-    /// `scratch` buffers. Selects the same tuple as [`Self::find_match`]
-    /// when deterministic.
+    /// `scratch` buffers and draws.
     pub fn find_match_fast<S: MatchSource>(
         &self,
         reaction_index: usize,
@@ -1355,23 +1355,157 @@ impl CompiledReaction {
         let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
         let found = match rng {
             None => self.det_search(0, &self.order, bag, &mut bindings, &mut consumed),
-            Some(r) => {
-                scratch.ensure_depth(self.order.len());
-                self.scratch_search(
-                    0,
-                    &self.order,
-                    bag,
-                    &mut bindings,
-                    &mut consumed,
-                    r,
-                    &mut scratch.levels,
-                )
-            }
+            Some(r) => self.scratch_search(
+                0,
+                &self.order,
+                bag,
+                &mut bindings,
+                &mut consumed,
+                r,
+                scratch.levels(self.order.len()),
+            ),
         };
         if !found {
             return Ok(None);
         }
         self.finish(reaction_index, consumed, &bindings)
+    }
+
+    // --- matcher choice by cost ------------------------------------------
+    //
+    // The inputs of [`crate::schedule::choose_matcher`]: which reactions
+    // a search matcher may serve at all, and how often a candidate tuple
+    // passes the guard.
+
+    /// Whether the delta-search matcher may serve this reaction: exactly
+    /// two positions with literal labels and no join key (no variable
+    /// shared between the positions), so every pair of candidates is a
+    /// candidate tuple and the guard pass rate alone decides the cost.
+    /// Tag-keyed joins, single-position reactions and ≥3-ary joins stay
+    /// on Rete.
+    pub(crate) fn search_eligible(&self) -> bool {
+        let [a, b] = self.positions.as_slice() else {
+            return false;
+        };
+        let vars = |p: &CompiledPattern| [p.value_var, p.label_var, p.tag_var];
+        let shared = vars(a)
+            .into_iter()
+            .flatten()
+            .any(|v| vars(b).contains(&Some(v)));
+        !shared
+            && matches!(a.label, LabelFilter::Exact(_))
+            && matches!(b.label, LabelFilter::Exact(_))
+    }
+
+    /// True when every tuple matching the patterns is enabled: no
+    /// `where` condition and a total clause chain.
+    pub(crate) fn unguarded(&self) -> bool {
+        self.spec.where_cond.is_none()
+            && self
+                .spec
+                .clauses
+                .iter()
+                .any(|c| matches!(c.guard, Guard::Always | Guard::Else))
+    }
+
+    /// True when the guard is a single test — one `where` conjunct and a
+    /// total clause chain, or no `where` and one `if` clause — so the
+    /// join network's per-test `guard_evals`/`guard_rejects` counters
+    /// measure the pass rate exactly.
+    pub(crate) fn single_guard_test(&self) -> bool {
+        let conjuncts = self
+            .spec
+            .where_cond
+            .as_ref()
+            .map_or(0, |w| w.conjuncts().len());
+        let plan = self.guard_plan();
+        conjuncts + plan.clause_disjunction.map_or(0, |d| d.len()) == 1
+    }
+
+    /// The larger number of distinct candidate rows (across tags) of the
+    /// two positions of a [`Self::search_eligible`] reaction in `bag`.
+    pub(crate) fn candidate_rows(&self, bag: &ElementBag) -> usize {
+        self.positions
+            .iter()
+            .map(|pat| {
+                let LabelFilter::Exact(label) = pat.label else {
+                    return 0;
+                };
+                bag.tags_for(label)
+                    .filter(|&t| pat.tag_lit.is_none_or(|lit| lit == t))
+                    .filter_map(|t| bag.bucket(label, t))
+                    .map(|b| b.distinct_len())
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Estimate the guard pass rate of a [`Self::search_eligible`]
+    /// reaction from `samples` candidate pairs of `bag`, returning the
+    /// rate and the larger candidate count `n` (distinct rows) of the
+    /// two positions, or `None` when `bag` holds no candidate pair.
+    ///
+    /// The sample is a pure function of the program and the bag's
+    /// content: candidates are sorted before a fixed-seed draw, so the
+    /// bag's insertion order does not move the estimate.
+    pub(crate) fn sample_pass_rate(
+        &self,
+        bag: &ElementBag,
+        samples: usize,
+    ) -> Option<(f64, usize)> {
+        use rand::SeedableRng;
+        debug_assert!(self.search_eligible());
+        let candidates = |pat: &CompiledPattern| {
+            let LabelFilter::Exact(label) = pat.label else {
+                unreachable!("eligible positions have literal labels")
+            };
+            let mut out: Vec<(Tag, &Value, usize)> = Vec::new();
+            for tag in bag.tags_for(label) {
+                if pat.tag_lit.is_some_and(|t| t != tag) {
+                    continue;
+                }
+                for (value, count) in bag.values_with_counts(label, tag) {
+                    if pat.value_lit.as_ref().is_none_or(|v| v == value) {
+                        out.push((tag, value, count));
+                    }
+                }
+            }
+            out.sort_unstable_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)));
+            (label, out)
+        };
+        let (la, ca) = candidates(&self.positions[0]);
+        let (lb, cb) = candidates(&self.positions[1]);
+        if ca.is_empty() || cb.is_empty() {
+            return None;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9a55_7a7e);
+        let (mut tried, mut passed) = (0usize, 0usize);
+        // Draws of one single-occurrence element for both positions are
+        // not tuples; a bounded number of attempts keeps a one-element
+        // bag from looping.
+        for _ in 0..samples * 4 {
+            if tried == samples {
+                break;
+            }
+            let (ta, va, na) = ca[(rng.next_u64() % ca.len() as u64) as usize];
+            let (tb, vb, _) = cb[(rng.next_u64() % cb.len() as u64) as usize];
+            if la == lb && ta == tb && va == vb && na < 2 {
+                continue;
+            }
+            tried += 1;
+            let mut bindings = Bindings::new(self.nvars, &self.var_index);
+            let bound = self
+                .bind_position(&self.positions[0], la, ta, va, &mut bindings)
+                .is_some()
+                && self
+                    .bind_position(&self.positions[1], lb, tb, vb, &mut bindings)
+                    .is_some();
+            if bound && self.accept(&bindings) {
+                passed += 1;
+            }
+        }
+        (tried > 0).then(|| (passed as f64 / tried as f64, ca.len().max(cb.len())))
     }
 
     /// True when this reaction's enabledness over a candidate element is
@@ -1546,7 +1680,6 @@ impl CompiledReaction {
             // it is gone with it.
             return Ok(None);
         }
-        scratch.ensure_depth(self.order.len());
         for p in 0..self.positions.len() {
             if !self.position_admits(p, anchor) {
                 continue;
@@ -1574,7 +1707,7 @@ impl CompiledReaction {
                     &mut bindings,
                     &mut consumed,
                     r,
-                    &mut scratch.levels,
+                    scratch.levels(self.order.len()),
                 ),
             };
             scratch.order = rest;
@@ -1632,7 +1765,7 @@ impl CompiledReaction {
     }
 
     /// Complete a spilled prefix into a full [`Firing`], or `None` when no
-    /// completion exists. With an RNG the remaining levels shuffle their
+    /// completion exists. With an RNG the remaining levels draw their
     /// candidates exactly like [`Self::find_match`]; without, the first
     /// completion in index order is taken.
     pub(crate) fn complete_prefix<S: MatchSource>(
@@ -1655,18 +1788,15 @@ impl CompiledReaction {
         let rest = &self.order[prefix.len()..];
         let found = match rng {
             None => self.det_search(0, rest, bag, &mut bindings, &mut consumed),
-            Some(r) => {
-                scratch.ensure_depth(self.order.len());
-                self.scratch_search(
-                    0,
-                    rest,
-                    bag,
-                    &mut bindings,
-                    &mut consumed,
-                    r,
-                    &mut scratch.levels,
-                )
-            }
+            Some(r) => self.scratch_search(
+                0,
+                rest,
+                bag,
+                &mut bindings,
+                &mut consumed,
+                r,
+                scratch.levels(self.order.len()),
+            ),
         };
         if !found {
             return Ok(None);
@@ -2232,5 +2362,148 @@ mod tests {
         assert_eq!(f.reaction, 1);
         let f = compiled.find_any(&[0, 1], &bag, None).unwrap().unwrap();
         assert_eq!(f.reaction, 0);
+    }
+
+    /// A bucket of `live + dead` rows on label `n`, tag 0, whose `dead`
+    /// rows (every third one first) are tombstones: few enough that
+    /// compaction has not run.
+    fn tombstoned_bag(live: i64, dead: i64) -> ElementBag {
+        let mut bag: ElementBag = (0..live + dead).map(|v| e(v, "n", 0)).collect();
+        let mut removed = 0;
+        for v in (0..live + dead).step_by(3).chain(1..live + dead) {
+            if removed == dead {
+                break;
+            }
+            if bag.remove(&e(v, "n", 0)) {
+                removed += 1;
+            }
+        }
+        let bucket = bag.bucket(Symbol::intern("n"), Tag(0)).unwrap();
+        assert_eq!(bucket.distinct_len(), live as usize);
+        assert_eq!(
+            bucket.row_len(),
+            (live + dead) as usize,
+            "no compaction yet"
+        );
+        bag
+    }
+
+    #[test]
+    fn lazy_draw_replays_a_full_fisher_yates_shuffle() {
+        // Both representations (held in full up to DENSE_MAX, sparse
+        // swaps above) must draw exactly the permutation a complete
+        // incremental Fisher–Yates shuffle makes from the same stream.
+        let mut draw = LazyDraw::default();
+        for n in [1usize, 2, 17, 64, 65, 300] {
+            for seed in 0..16 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                draw.reset(n);
+                let drawn: Vec<usize> = std::iter::from_fn(|| draw.next(&mut rng)).collect();
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut reference: Vec<usize> = (0..n).collect();
+                for k in 0..n.saturating_sub(1) {
+                    let j = k + (rng.next_u64() % (n - k) as u64) as usize;
+                    reference.swap(k, j);
+                }
+                assert_eq!(drawn, reference, "n {n}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_row_draw_visits_every_live_row_once_and_never_a_tombstone() {
+        // 20 rows (a permutation held in full) and 128 (sparse swaps).
+        for (live, dead) in [(14, 6), (120, 8)] {
+            let bag = tombstoned_bag(live, dead);
+            let bucket = bag.bucket(Symbol::intern("n"), Tag(0)).unwrap();
+            let live_rows: Vec<usize> = (0..bucket.row_len())
+                .filter(|&i| bucket.row(i).1 > 0)
+                .collect();
+            let mut draw = LazyDraw::default();
+            for seed in 0..64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                draw.reset(bucket.row_len());
+                let mut seen = Vec::new();
+                while let Some(i) = draw_live_row(bucket, &mut draw, &mut rng) {
+                    assert!(bucket.row(i).1 > 0, "seed {seed}: drew tombstone row {i}");
+                    seen.push(i);
+                }
+                seen.sort_unstable();
+                assert_eq!(seen, live_rows, "seed {seed}: each live row exactly once");
+            }
+        }
+    }
+
+    #[test]
+    fn first_lazy_draw_is_uniform_over_live_rows() {
+        // 10 live rows among 16; a draw that skipped from a tombstone to
+        // its next live row would double the weight of the rows after
+        // tombstones, which the chi-square bound catches.
+        let bag = tombstoned_bag(10, 6);
+        let bucket = bag.bucket(Symbol::intern("n"), Tag(0)).unwrap();
+        let live: Vec<usize> = (0..bucket.row_len())
+            .filter(|&i| bucket.row(i).1 > 0)
+            .collect();
+        let trials = 4000u32;
+        let mut counts = vec![0u32; bucket.row_len()];
+        let mut draw = LazyDraw::default();
+        for seed in 0..u64::from(trials) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            draw.reset(bucket.row_len());
+            let i = draw_live_row(bucket, &mut draw, &mut rng).expect("live rows exist");
+            counts[i] += 1;
+        }
+        assert!(
+            counts
+                .iter()
+                .enumerate()
+                .all(|(i, &c)| c == 0 || live.contains(&i)),
+            "first draws landed on tombstones: {counts:?}"
+        );
+        let expected = f64::from(trials) / live.len() as f64;
+        let chi2: f64 = live
+            .iter()
+            .map(|&i| (f64::from(counts[i]) - expected).powi(2) / expected)
+            .sum();
+        // 9 degrees of freedom: P(chi2 > 27.88) = 0.001.
+        assert!(chi2 < 27.88, "chi2 {chi2:.2} over {counts:?}");
+    }
+
+    #[test]
+    fn failed_seeded_search_has_visited_every_live_candidate() {
+        // Exactly one pair sums to 1000, and the bucket holds tombstones:
+        // every seed must find it, and an impossible sum none.
+        let mut bag = tombstoned_bag(24, 6);
+        bag.insert(e(1000 - 29, "n", 0));
+        let pair_sum = |total: i64| {
+            compile(
+                ReactionSpec::new("pair")
+                    .replace(Pattern::pair("x", "n"))
+                    .replace(Pattern::pair("y", "n"))
+                    .where_(Expr::cmp(
+                        CmpOp::Eq,
+                        Expr::bin(BinOp::Add, Expr::var("x"), Expr::var("y")),
+                        Expr::int(total),
+                    ))
+                    .by(vec![]),
+            )
+        };
+        let (hit, miss) = (pair_sum(1000), pair_sum(5000));
+        let mut scratch = SearchScratch::new();
+        for seed in 0..64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let f = hit
+                .find_match_fast(0, &bag, Some(&mut rng), &mut scratch)
+                .unwrap()
+                .expect("the one enabled pair is found under every seed");
+            let mut vals: Vec<Element> = f.consumed.clone();
+            vals.sort();
+            assert_eq!(vals, vec![e(29, "n", 0), e(971, "n", 0)], "seed {seed}");
+            assert_eq!(
+                miss.find_match_fast(0, &bag, Some(&mut rng), &mut scratch)
+                    .unwrap(),
+                None
+            );
+        }
     }
 }

@@ -28,7 +28,8 @@
 //!   match memories, guard pushdown) that remembers matches across
 //!   firings instead of re-searching; [`seq::Scheduling::Rete`] runs on it.
 //! * [`schedule`] — delta-driven reaction scheduling (the worklist image
-//!   of the waiting–matching store).
+//!   of the waiting–matching store), and the cost rule that picks a
+//!   [`Matcher`] per reaction for the default [`seq::Scheduling::Auto`].
 //! * [`seq`] — the sequential interpreter (seeded nondeterminism, exact
 //!   steady-state termination, firing traces, maximal-parallel-step mode).
 //! * [`parallel`] — a shared-memory parallel interpreter over a sharded
@@ -51,8 +52,8 @@
 //! # Example
 //!
 //! The paper's Eq. (2) minimum program — `replace x, y by x where x < y`
-//! — compiled and run to stability on the default (rete-scheduled)
-//! interpreter:
+//! — compiled and run to stability on the default interpreter, which
+//! serves this dense fold with seeded search:
 //!
 //! ```
 //! use gammaflow_gamma::{
@@ -107,7 +108,9 @@ pub use rete::{
     AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan, DEFAULT_SPILL_WATERMARK,
 };
 pub use reuse::{analyze as analyze_reuse, ReactionReuse, ReuseReport};
-pub use schedule::{DeltaScheduler, DependencyIndex, SchedStats, ShardedWorklist};
+pub use schedule::{
+    DeltaScheduler, DependencyIndex, Matcher, MatcherChoice, SchedStats, ShardedWorklist,
+};
 pub use seq::{
     run_pipeline, ExecConfig, ExecError, ExecResult, ParError, Scheduling, Selection,
     SeqInterpreter, Status,

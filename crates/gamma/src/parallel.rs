@@ -81,7 +81,7 @@ use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
 use crate::trace::ExecStats;
 use crossbeam_channel::{Receiver, Sender};
 use gammaflow_multiset::{
-    ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardedBag, Symbol, Tag, Value,
+    ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardedBag, Symbol, Tag, Value, ValueBucket,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rand::seq::SliceRandom;
@@ -596,6 +596,10 @@ impl MatchSource for LockedShards<'_> {
 
     fn visit_values(&self, label: Symbol, tag: Tag, f: &mut dyn FnMut(&Value, usize) -> bool) {
         self.shard(label, tag).visit_values(label, tag, f);
+    }
+
+    fn bucket_in_place(&self, label: Symbol, tag: Tag) -> Option<Option<&ValueBucket>> {
+        Some(self.shard(label, tag).bucket(label, tag))
     }
 }
 

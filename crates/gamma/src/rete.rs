@@ -76,6 +76,15 @@
 //! reaction whose frontier completes — therefore **proves** the paper's
 //! global termination state; the engine needs no authoritative rescan
 //! (debug builds still cross-check).
+//!
+//! # Serving part of a program
+//!
+//! Under [`Scheduling::Auto`](crate::seq::Scheduling) a network serves
+//! only the reactions the cost rule gives it: its dependency index is
+//! masked to them, so the other reactions keep empty memories, receive
+//! no deltas and never report a match. Exactness and the drained-network
+//! stability proof then cover the served reactions, and the delta
+//! worklist covers the rest.
 
 use crate::compiled::{
     CompiledProgram, CompiledReaction, Firing, LabelFilter, MatchError, MatchSource, SearchScratch,
@@ -1203,6 +1212,13 @@ pub const DEFAULT_SPILL_WATERMARK: usize = 32 * 1024;
 pub struct ReteNetwork {
     nets: Vec<ReactionNet>,
     deps: DependencyIndex,
+    /// Reactions this network serves; the others keep empty nets and
+    /// receive no deltas (another matcher serves them).
+    served: Vec<bool>,
+    /// How many entries of `served` are set (read once per firing).
+    serving: usize,
+    /// Per-reaction token watermark the nets were built with.
+    watermark: usize,
     /// When set, this network is one worker's slice: only tokens whose
     /// join-order position-0 element's `(label, tag)` key the slice owns
     /// are materialised (see [`AlphaSlice`]).
@@ -1237,7 +1253,20 @@ impl ReteNetwork {
         initial: &S,
         watermark: usize,
     ) -> ReteNetwork {
-        Self::build(compiled, initial, watermark, None)
+        let all = vec![true; compiled.reactions.len()];
+        Self::build(compiled, initial, watermark, &all, None)
+    }
+
+    /// Build a network that serves only the reactions with `served[r]`
+    /// set: the rest keep empty memories, receive no deltas, and never
+    /// report a match.
+    pub(crate) fn with_served<S: MatchSource>(
+        compiled: &CompiledProgram,
+        initial: &S,
+        watermark: usize,
+        served: &[bool],
+    ) -> ReteNetwork {
+        Self::build(compiled, initial, watermark, served, None)
     }
 
     /// Build one worker's *slice* of the network: only matches anchored
@@ -1250,13 +1279,15 @@ impl ReteNetwork {
         watermark: usize,
         slice: AlphaSlice,
     ) -> ReteNetwork {
-        Self::build(compiled, initial, watermark, Some(slice))
+        let all = vec![true; compiled.reactions.len()];
+        Self::build(compiled, initial, watermark, &all, Some(slice))
     }
 
     fn build<S: MatchSource>(
         compiled: &CompiledProgram,
         initial: &S,
         watermark: usize,
+        served: &[bool],
         slice: Option<AlphaSlice>,
     ) -> ReteNetwork {
         let mut net = ReteNetwork {
@@ -1265,7 +1296,10 @@ impl ReteNetwork {
                 .iter()
                 .map(|cr| ReactionNet::new(cr, watermark))
                 .collect(),
-            deps: DependencyIndex::new(compiled),
+            deps: DependencyIndex::masked(compiled, served),
+            served: served.to_vec(),
+            serving: served.iter().filter(|&&s| s).count(),
+            watermark,
             slice,
             route: Vec::new(),
             ready: Vec::new(),
@@ -1281,6 +1315,9 @@ impl ReteNetwork {
         // tuples are anchored in (and built by) another worker's slice.
         let mut distinct: Vec<Element> = Vec::new();
         for label in initial.all_labels() {
+            if !net.deps.has_dependents(label) {
+                continue;
+            }
             for tag in initial.tags_for_label(label) {
                 for (value, _) in initial.values_at(label, tag) {
                     distinct.push(Element { value, label, tag });
@@ -1294,6 +1331,23 @@ impl ReteNetwork {
             net.feed_insert_inner(compiled, initial, e, true);
         }
         net
+    }
+
+    /// Stop serving reaction `r` (a wave-boundary matcher switch): its
+    /// memories are dropped and deltas no longer reach it. Dropping is
+    /// exact — the network keeps answering for every reaction it still
+    /// serves, and `r` reports no match from here on.
+    pub(crate) fn unserve(&mut self, compiled: &CompiledProgram, r: usize) {
+        if std::mem::replace(&mut self.served[r], false) {
+            self.serving -= 1;
+        }
+        self.nets[r] = ReactionNet::new(&compiled.reactions[r], self.watermark);
+        self.deps = DependencyIndex::masked(compiled, &self.served);
+    }
+
+    /// True when the network serves at least one reaction.
+    pub(crate) fn serves_any(&self) -> bool {
+        self.serving > 0
     }
 
     /// The slice filter this network was built with, if any.
@@ -1399,12 +1453,7 @@ impl ReteNetwork {
         rng: &mut ChaCha8Rng,
     ) -> Option<usize> {
         let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        for r in 0..self.nets.len() {
-            if self.has_match(compiled, bag, r) {
-                ready.push(r);
-            }
-        }
+        self.ready_reactions(compiled, bag, &mut ready);
         let pick = if ready.is_empty() {
             None
         } else {
@@ -1412,6 +1461,21 @@ impl ReteNetwork {
         };
         self.ready = ready;
         pick
+    }
+
+    /// Every enabled reaction, in index order, into `out`.
+    pub(crate) fn ready_reactions<S: MatchSource>(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &S,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        for r in 0..self.nets.len() {
+            if self.has_match(compiled, bag, r) {
+                out.push(r);
+            }
+        }
     }
 
     /// Materialise a [`Firing`] for reaction `r` (which must be enabled):
@@ -1494,6 +1558,9 @@ impl ReteNetwork {
         bag: &S,
         firing: &Firing,
     ) {
+        if !self.serves_any() {
+            return;
+        }
         let (removed, inserted) = firing_net_delta_ids(firing);
         for &id in &removed {
             self.feed_remove_id(compiled, bag, id);

@@ -54,7 +54,10 @@
 //! unchanged. The equivalence regression suite asserts trace equality on
 //! random programs.
 
-use crate::compiled::{CompiledProgram, Firing, FrontierCursors, MatchError, SearchScratch};
+use crate::compiled::{
+    CompiledProgram, CompiledReaction, Firing, FrontierCursors, MatchError, SearchScratch,
+};
+use crate::telemetry::ReactionProfile;
 use gammaflow_multiset::{ElemId, Element, ElementBag, FxHashMap, Symbol};
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -73,9 +76,19 @@ pub struct DependencyIndex {
 impl DependencyIndex {
     /// Build the index from a compiled program.
     pub fn new(compiled: &CompiledProgram) -> DependencyIndex {
+        Self::masked(compiled, &vec![true; compiled.reactions.len()])
+    }
+
+    /// Build the index over the reactions with `served[r]` set only: a
+    /// matcher that serves part of a program routes deltas to its own
+    /// reactions and never wakes the others.
+    pub(crate) fn masked(compiled: &CompiledProgram, served: &[bool]) -> DependencyIndex {
         let mut by_label: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
         let mut wildcard = Vec::new();
         for (i, reaction) in compiled.reactions.iter().enumerate() {
+            if !served[i] {
+                continue;
+            }
             let (labels, has_wildcard) = reaction.consumed_label_classes();
             if has_wildcard {
                 wildcard.push(i as u32);
@@ -191,6 +204,9 @@ const MAX_ANCHORS: usize = 16;
 #[derive(Debug)]
 pub struct DeltaScheduler {
     deps: DependencyIndex,
+    /// Reactions this scheduler serves; the others belong to another
+    /// matcher and are never searched or woken here.
+    served: Vec<bool>,
     state: Vec<DirtyState>,
     /// Indices of reactions whose state is not `Clean`. No duplicates.
     worklist: Vec<usize>,
@@ -209,15 +225,39 @@ impl DeltaScheduler {
     /// New scheduler with every reaction initially dirty (nothing is
     /// proven about the initial multiset).
     pub fn new(compiled: &CompiledProgram) -> DeltaScheduler {
-        let n = compiled.reactions.len();
+        Self::with_served(compiled, &vec![true; compiled.reactions.len()])
+    }
+
+    /// New scheduler serving only the reactions with `served[r]` set,
+    /// each initially dirty.
+    pub(crate) fn with_served(compiled: &CompiledProgram, served: &[bool]) -> DeltaScheduler {
         DeltaScheduler {
-            deps: DependencyIndex::new(compiled),
-            state: vec![DirtyState::Full; n],
-            worklist: (0..n).collect(),
+            deps: DependencyIndex::masked(compiled, served),
+            served: served.to_vec(),
+            state: served
+                .iter()
+                .map(|&s| {
+                    if s {
+                        DirtyState::Full
+                    } else {
+                        DirtyState::Clean
+                    }
+                })
+                .collect(),
+            worklist: (0..served.len()).filter(|&r| served[r]).collect(),
             scratch: SearchScratch::new(),
             frontier: FrontierCursors::default(),
             stats: SchedStats::default(),
         }
+    }
+
+    /// Take over reaction `r` (a wave-boundary matcher switch): it joins
+    /// the dependency index and starts dirty, since nothing is proven
+    /// about it yet.
+    pub(crate) fn serve(&mut self, compiled: &CompiledProgram, r: usize) {
+        self.served[r] = true;
+        self.deps = DependencyIndex::masked(compiled, &self.served);
+        self.mark_full(r);
     }
 
     /// The static dependency index.
@@ -225,8 +265,12 @@ impl DeltaScheduler {
         &self.deps
     }
 
-    /// Mark reaction `r` dirty for a full search.
+    /// Mark reaction `r` dirty for a full search (a no-op for reactions
+    /// another matcher serves).
     fn mark_full(&mut self, r: usize) {
+        if !self.served[r] {
+            return;
+        }
         if self.state[r] == DirtyState::Clean {
             self.worklist.push(r);
         } else {
@@ -342,111 +386,127 @@ impl DeltaScheduler {
             }
             // Pick a dirty reaction per the selection policy.
             let slot = match rng.as_deref_mut() {
-                None => {
-                    // Lowest reaction index first (small worklist: linear
-                    // scan beats heap bookkeeping).
-                    let mut best = 0;
-                    for i in 1..self.worklist.len() {
-                        if self.worklist[i] < self.worklist[best] {
-                            best = i;
-                        }
-                    }
-                    best
-                }
+                None => self.lowest_dirty().expect("worklist is non-empty").0,
                 Some(r) => (r.next_u64() % self.worklist.len() as u64) as usize,
             };
-            let reaction = self.worklist[slot];
-
-            let found = match std::mem::replace(&mut self.state[reaction], DirtyState::Full) {
-                DirtyState::Clean => unreachable!("clean reactions are not on the worklist"),
-                DirtyState::Full => {
-                    self.stats.full_searches += 1;
-                    let rx = &compiled.reactions[reaction];
-                    if rx.frontier_eligible() {
-                        // Single-position reactions resume from the
-                        // per-bucket frontier cursor instead of
-                        // re-walking tombstoned/rejected prefixes — same
-                        // first-in-index-order tuple, linear amortised.
-                        // No RNG in seeded mode either: with one
-                        // position, shuffling only reorders which of the
-                        // enabled rows is drawn, and confluence makes
-                        // the final multiset independent of that draw.
-                        rx.find_match_frontier(reaction, bag, &mut self.frontier)?
-                    } else {
-                        rx.find_match_fast(reaction, bag, rng.as_deref_mut(), &mut self.scratch)?
-                    }
-                }
-                DirtyState::Anchored(anchors) => {
-                    // Anchors are probed in insertion (index) order, so the
-                    // deterministic path stays reproducible.
-                    let mut found = None;
-                    for &anchor_id in &anchors {
-                        self.stats.anchored_probes += 1;
-                        let anchor = anchor_id.to_element();
-                        found = compiled.reactions[reaction].find_match_anchored(
-                            reaction,
-                            bag,
-                            &anchor,
-                            rng.as_deref_mut(),
-                            &mut self.scratch,
-                        )?;
-                        if found.is_some() {
-                            break;
-                        }
-                    }
-                    if found.is_some() {
-                        // Not yet proven matchless: keep the remaining
-                        // anchors live for the next visit. (The consumed
-                        // anchor re-probes as a cheap no-op.)
-                        self.state[reaction] = DirtyState::Anchored(anchors);
-                        if rng.is_none() {
-                            // Deterministic mode: the anchored probe only
-                            // decided *enabledness* (complete, because any
-                            // new match consumes an anchor). The firing
-                            // itself is re-selected by the same index-order
-                            // search as the rescanning reference, so the
-                            // trace is preserved by construction.
-                            self.stats.anchored_confirm_searches += 1;
-                            found = compiled.reactions[reaction].find_match_fast(
-                                reaction,
-                                bag,
-                                None,
-                                &mut self.scratch,
-                            )?;
-                            debug_assert!(
-                                found.is_some(),
-                                "anchored probe proved reaction {reaction} enabled"
-                            );
-                        }
-                    }
-                    found
-                }
-            };
-
-            match found {
-                Some(firing) => {
-                    // Reaction stays dirty (state set above); the engine
-                    // applies the firing and calls `on_fired`.
-                    return Ok(Some(firing));
-                }
-                None => {
-                    // Proven matchless under the current multiset.
-                    self.state[reaction] = DirtyState::Clean;
-                    self.worklist.swap_remove(slot);
-                }
+            if let Some(firing) = self.try_slot(compiled, bag, slot, rng.as_deref_mut())? {
+                return Ok(Some(firing));
             }
         }
     }
 
+    /// Dirty reactions awaiting a search.
+    pub(crate) fn dirty_len(&self) -> usize {
+        self.worklist.len()
+    }
+
+    /// The worklist slot and index of the lowest-indexed dirty reaction
+    /// — the deterministic selection rule (clean reactions have no
+    /// match, so the lowest enabled reaction is always dirty).
+    pub(crate) fn lowest_dirty(&self) -> Option<(usize, usize)> {
+        // Small worklist: a linear scan beats heap bookkeeping.
+        self.worklist
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &r)| r)
+            .map(|(slot, &r)| (slot, r))
+    }
+
+    /// Search the dirty reaction at worklist `slot`. A match leaves it
+    /// dirty (the engine applies the firing and calls
+    /// [`Self::on_fired`]); no match proves it clean and takes it off
+    /// the worklist, which may move another entry into `slot`.
+    pub(crate) fn try_slot(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &ElementBag,
+        slot: usize,
+        mut rng: Option<&mut ChaCha8Rng>,
+    ) -> Result<Option<Firing>, MatchError> {
+        let reaction = self.worklist[slot];
+        let found = match std::mem::replace(&mut self.state[reaction], DirtyState::Full) {
+            DirtyState::Clean => unreachable!("clean reactions are not on the worklist"),
+            DirtyState::Full => {
+                self.stats.full_searches += 1;
+                let rx = &compiled.reactions[reaction];
+                if rx.frontier_eligible() {
+                    // Single-position reactions resume from the
+                    // per-bucket frontier cursor instead of re-walking
+                    // tombstoned/rejected prefixes — same first-in-index-
+                    // order tuple, linear amortised. No RNG in seeded
+                    // mode either: with one position, a draw only picks
+                    // which of the enabled rows fires, and confluence
+                    // makes the final multiset independent of that draw.
+                    rx.find_match_frontier(reaction, bag, &mut self.frontier)?
+                } else {
+                    rx.find_match_fast(reaction, bag, rng.as_deref_mut(), &mut self.scratch)?
+                }
+            }
+            DirtyState::Anchored(anchors) => {
+                // Anchors are probed in insertion (index) order, so the
+                // deterministic path stays reproducible.
+                let mut found = None;
+                for &anchor_id in &anchors {
+                    self.stats.anchored_probes += 1;
+                    let anchor = anchor_id.to_element();
+                    found = compiled.reactions[reaction].find_match_anchored(
+                        reaction,
+                        bag,
+                        &anchor,
+                        rng.as_deref_mut(),
+                        &mut self.scratch,
+                    )?;
+                    if found.is_some() {
+                        break;
+                    }
+                }
+                if found.is_some() {
+                    // Not yet proven matchless: keep the remaining
+                    // anchors live for the next visit. (The consumed
+                    // anchor re-probes as a cheap no-op.)
+                    self.state[reaction] = DirtyState::Anchored(anchors);
+                    if rng.is_none() {
+                        // Deterministic mode: the anchored probe only
+                        // decided *enabledness* (complete, because any
+                        // new match consumes an anchor). The firing
+                        // itself is re-selected by the same index-order
+                        // search as the rescanning reference, so the
+                        // trace is preserved by construction.
+                        self.stats.anchored_confirm_searches += 1;
+                        found = compiled.reactions[reaction].find_match_fast(
+                            reaction,
+                            bag,
+                            None,
+                            &mut self.scratch,
+                        )?;
+                        debug_assert!(
+                            found.is_some(),
+                            "anchored probe proved reaction {reaction} enabled"
+                        );
+                    }
+                }
+                found
+            }
+        };
+        if found.is_none() {
+            // Proven matchless under the current multiset.
+            self.state[reaction] = DirtyState::Clean;
+            self.worklist.swap_remove(slot);
+        }
+        Ok(found)
+    }
+
     /// The drain-time authoritative stability check.
-    fn confirm_stable(
+    pub(crate) fn confirm_stable(
         &mut self,
         compiled: &CompiledProgram,
         bag: &ElementBag,
         mut rng: Option<&mut ChaCha8Rng>,
     ) -> Result<Option<Firing>, MatchError> {
         self.stats.authoritative_confirms += 1;
-        let mut order: Vec<usize> = (0..compiled.reactions.len()).collect();
+        let mut order: Vec<usize> = (0..compiled.reactions.len())
+            .filter(|&r| self.served[r])
+            .collect();
         if let Some(r) = rng.as_deref_mut() {
             order.shuffle(r);
         }
@@ -466,6 +526,124 @@ impl DeltaScheduler {
                 Ok(Some(firing))
             }
         }
+    }
+}
+
+/// Which matcher serves one reaction of a sequential session. Under
+/// [`Scheduling::Auto`](crate::seq::Scheduling::Auto) the choice is made
+/// per reaction by cost (a guard pass rate against the bucket size); the
+/// explicit schedulings force one matcher for every reaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum Matcher {
+    /// The Rete join network: enabled matches are remembered, so a
+    /// firing costs its delta's token traffic.
+    Rete,
+    /// The delta worklist with seeded search: an enabled match is drawn
+    /// when needed, so a firing costs the candidates examined.
+    Search,
+}
+
+impl Matcher {
+    /// Lower-case name, as trace events and plan text render it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Matcher::Rete => "rete",
+            Matcher::Search => "search",
+        }
+    }
+}
+
+/// Candidate pairs sampled per pass-rate estimate.
+pub(crate) const PASS_RATE_SAMPLE: usize = 64;
+
+/// Guard evaluations a join network must have made on a single-test
+/// guard before its counters replace the sample as the pass-rate
+/// estimate.
+pub(crate) const MIN_GUARD_EVIDENCE: u64 = 256;
+
+/// The pass rate above which search serves a reaction whose candidate
+/// buckets hold `bucket` rows: `1/√bucket`.
+///
+/// With pass rate `p` over `n` candidates, a seeded search examines
+/// about `1/p` candidates per firing, while a join network creates and
+/// retires about `n·p` tokens per firing (each inserted element pairs
+/// with `n·p` partners). Search is cheaper when `1/p < n·p`, i.e.
+/// `p > 1/√n`. Calibration, see `ARCHITECTURE.md` ("Choosing a
+/// scheduler"): the dense folds sample `p ≈ 0.2–1` against thresholds
+/// of 0.02–0.16 and run faster on search; the sieves and interval merge
+/// sample no passing pair against thresholds of 0.03–0.05. A one-row bucket
+/// (Algorithm 1's acyclic image: one token per edge) never favours
+/// search, even unguarded.
+pub(crate) fn search_threshold(bucket: usize) -> f64 {
+    1.0 / (bucket.max(1) as f64).sqrt()
+}
+
+/// One reaction's matcher choice and the pass rate behind it (`None`
+/// when no estimate was possible or the reaction is not eligible).
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct MatcherChoice {
+    /// The matcher that serves the reaction.
+    pub matcher: Matcher,
+    /// The estimated guard pass rate (1 for unguarded reactions).
+    pub pass_rate: Option<f64>,
+}
+
+/// The cost rule of [`Scheduling::Auto`](crate::seq::Scheduling::Auto)
+/// for reaction `cr` over `bag`, optionally informed by the reaction's
+/// cumulative execution profile.
+///
+/// * Not search-eligible (tag- or value-keyed joins, single-position or
+///   ≥3-ary reactions): Rete.
+/// * Otherwise the pass rate `p` and the bucket size `n` decide: search
+///   when `p` exceeds [`search_threshold`]`(n)`, else Rete.
+///   * Unguarded: `p = 1`; `n` is the larger candidate count of the
+///     two positions, or the reaction's firings so far when larger (a
+///     fold that fired `F` times consumed a bucket of about `F`).
+///   * A single-test guard with at least [`MIN_GUARD_EVIDENCE`]
+///     evaluations in `profile`: `p = 1 − rejects/evals` exactly, and
+///     `n` at least `√evals` (that many pairs came from buckets of
+///     about that size, even if the wave has since reduced the bag).
+///   * Otherwise [`PASS_RATE_SAMPLE`] sampled candidate pairs of `bag`.
+/// * No estimate at all (an empty bag): Rete.
+pub(crate) fn choose_matcher(
+    cr: &CompiledReaction,
+    bag: &ElementBag,
+    profile: Option<&ReactionProfile>,
+) -> MatcherChoice {
+    let rete = MatcherChoice {
+        matcher: Matcher::Rete,
+        pass_rate: None,
+    };
+    if !cr.search_eligible() {
+        return rete;
+    }
+    let rows = cr.candidate_rows(bag);
+    let estimate = if cr.unguarded() {
+        let fired = profile.map_or(0, |row| row.fired as usize);
+        Some((1.0, rows.max(fired)))
+    } else {
+        match profile {
+            Some(row) if row.guard_evals >= MIN_GUARD_EVIDENCE && cr.single_guard_test() => {
+                let p = 1.0 - row.guard_rejects as f64 / row.guard_evals as f64;
+                Some((p, rows.max((row.guard_evals as f64).sqrt() as usize)))
+            }
+            // One candidate row puts the threshold at 1: nothing to
+            // sample for (Algorithm 1's acyclic image, one token per
+            // edge, never pays for a sample).
+            _ if rows <= 1 => None,
+            _ => cr.sample_pass_rate(bag, PASS_RATE_SAMPLE),
+        }
+    };
+    match estimate {
+        None => rete,
+        Some((p, n)) => MatcherChoice {
+            matcher: if p > search_threshold(n) {
+                Matcher::Search
+            } else {
+                Matcher::Rete
+            },
+            pass_rate: Some(p),
+        },
     }
 }
 

@@ -77,7 +77,7 @@ pub enum Scheduling {
     /// identical to `Rescan`: same stable states, and under
     /// [`Selection::Deterministic`] the same firing trace.
     Delta,
-    /// Rete join-network scheduling (the default): a [`ReteNetwork`](crate::rete::ReteNetwork) of
+    /// Rete join-network scheduling: a [`ReteNetwork`](crate::rete::ReteNetwork) of
     /// partial-match memories is kept incrementally consistent with the
     /// multiset, so enabled matches are *read* rather than searched,
     /// per-firing cost is proportional to the delta's token traffic, and
@@ -88,8 +88,17 @@ pub enum Scheduling {
     /// ([`ExecConfig::rete_watermark`]): an unguarded n² reaction
     /// demotes its deep join levels to on-demand search instead of
     /// memorising the cross product — see [`crate::rete`].
-    #[default]
     Rete,
+    /// Per-reaction choice by cost (the default): each reaction is served
+    /// by the Rete network or by the delta worklist with seeded search,
+    /// as a cost rule decides from the program and the bag (see
+    /// [`Matcher`](crate::schedule::Matcher)) — dense all-pairs folds are searched,
+    /// selective and tag-keyed joins keep Rete memories. Decisions are
+    /// revisited only at wave boundaries and carried in snapshots.
+    /// Observable behaviour is identical to `Rescan`: same stable states,
+    /// and under [`Selection::Deterministic`] the same firing trace.
+    #[default]
+    Auto,
 }
 
 /// Selection policy for the nondeterministic choice in Eq. (1).
@@ -98,8 +107,9 @@ pub enum Selection {
     /// First enabled reaction in program order, first tuple in index order.
     /// Fast and deterministic, but biased.
     Deterministic,
-    /// Seeded uniform-ish choice: reaction order and candidate orders are
-    /// shuffled per step with a ChaCha8 stream.
+    /// Seeded uniform-ish choice from a ChaCha8 stream: the reaction is
+    /// drawn per step, and each search level draws its candidates
+    /// uniformly without replacement, stopping at the first match.
     Seeded(u64),
 }
 
@@ -201,9 +211,13 @@ pub struct ExecResult {
     pub stats: ExecStats,
     /// The firing trace, if [`ExecConfig::record_trace`] was set.
     pub trace: Option<Vec<FiringRecord>>,
-    /// Delta-scheduler counters, when [`Scheduling::Delta`] ran.
+    /// Delta-scheduler counters, when [`Scheduling::Delta`] or
+    /// [`Scheduling::Auto`] ran (under `Auto`, for the reactions the
+    /// worklist served).
     pub sched: Option<SchedStats>,
-    /// Join-network counters, when [`Scheduling::Rete`] ran.
+    /// Join-network counters, when [`Scheduling::Rete`] or
+    /// [`Scheduling::Auto`] ran (under `Auto`, for the reactions the
+    /// network served).
     pub rete: Option<ReteStats>,
 }
 

@@ -55,6 +55,7 @@
 //! | `Seq` + `Rescan` | multiset, RNG stream | (nothing to keep) |
 //! | `Seq` + `Delta` | worklist + clean/dirty proof state | — |
 //! | `Seq` + `Rete` | alpha/beta memories, spill + re-promotion state | — |
+//! | `Seq` + `Auto` | per-reaction matcher choice, plus the above for the reactions each matcher serves | — |
 //! | `Parallel(ShardedRete)` | sharded bag, key directory, per-worker network slices | worker threads, mailboxes, steal worklist |
 //! | `Parallel(ProbeRetry)` | sharded bag, key directory, dirty flags | worker threads |
 
@@ -65,7 +66,7 @@ use crate::parallel::{
 };
 use crate::pool::WaveDispatch;
 use crate::rete::{ReteNetwork, ReteStats};
-use crate::schedule::{DeltaScheduler, SchedStats};
+use crate::schedule::{choose_matcher, DeltaScheduler, Matcher, MatcherChoice, SchedStats};
 use crate::seq::{ExecConfig, ExecError, ExecResult, Scheduling, Selection, Status};
 use crate::spec::GammaProgram;
 use crate::telemetry::{
@@ -76,7 +77,7 @@ use crate::trace::{ExecStats, FiringRecord};
 use crate::vm::GuardEvalMode;
 use gammaflow_multiset::{Element, ElementBag, Symbol, Tag};
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -431,11 +432,185 @@ enum SeqMatcher {
     /// The rescanning reference keeps no memory; only the shuffled probe
     /// order persists (scratch, not state).
     Rescan { order: Vec<usize> },
-    /// The delta worklist and its clean/dirty proof state.
-    Delta(Box<DeltaScheduler>),
-    /// The Rete join network: alpha/beta memories, spill and
-    /// re-promotion state.
-    Rete(Box<ReteNetwork>),
+    /// The Rete network and the delta worklist, each serving its share
+    /// of the reactions.
+    Matchers(Box<SeqMatchers>),
+}
+
+/// The sequential matchers: every reaction is served either by the Rete
+/// join network (alpha/beta memories, spill and re-promotion state) or
+/// by the delta worklist (clean/dirty proof state plus seeded search),
+/// as `choice` says. [`Scheduling::Rete`] and [`Scheduling::Delta`] put
+/// every reaction on one of them; [`Scheduling::Auto`] chooses per
+/// reaction by cost (`choose_matcher`).
+///
+/// Both matchers answer enabledness exactly, so the selection rules span
+/// them: deterministic mode fires the lowest-indexed enabled reaction of
+/// either (the rescanning reference's rule, so traces are unchanged);
+/// seeded mode draws uniformly among the network's enabled reactions
+/// and the worklist's dirty ones, which with a single matcher is exactly
+/// that matcher's own draw.
+struct SeqMatchers {
+    choice: Vec<MatcherChoice>,
+    rete: ReteNetwork,
+    sched: DeltaScheduler,
+    /// Cumulative guard evaluations plus firings at each reaction's last
+    /// decision: a wave that added neither gives no reason to re-decide.
+    decided_at: Vec<u64>,
+    /// Wave-boundary matcher switches so far.
+    switches: u64,
+    /// Scratch for the seeded pick.
+    ready: Vec<usize>,
+}
+
+impl SeqMatchers {
+    /// The build-time choice: forced by the explicit schedulings, by cost
+    /// under [`Scheduling::Auto`].
+    fn choose(
+        compiled: &CompiledProgram,
+        bag: &ElementBag,
+        scheduling: Scheduling,
+    ) -> Vec<MatcherChoice> {
+        let forced = |matcher| MatcherChoice {
+            matcher,
+            pass_rate: None,
+        };
+        compiled
+            .reactions
+            .iter()
+            .map(|cr| match scheduling {
+                Scheduling::Rete => forced(Matcher::Rete),
+                Scheduling::Delta => forced(Matcher::Search),
+                _ => choose_matcher(cr, bag, None),
+            })
+            .collect()
+    }
+
+    fn build(
+        compiled: &CompiledProgram,
+        bag: &ElementBag,
+        watermark: usize,
+        choice: Vec<MatcherChoice>,
+    ) -> SeqMatchers {
+        SeqMatchers {
+            rete: ReteNetwork::with_served(
+                compiled,
+                bag,
+                watermark,
+                &Self::mask(&choice, Matcher::Rete),
+            ),
+            sched: DeltaScheduler::with_served(compiled, &Self::mask(&choice, Matcher::Search)),
+            decided_at: vec![0; choice.len()],
+            choice,
+            switches: 0,
+            ready: Vec::new(),
+        }
+    }
+
+    fn mask(choice: &[MatcherChoice], matcher: Matcher) -> Vec<bool> {
+        choice.iter().map(|c| c.matcher == matcher).collect()
+    }
+
+    /// The next firing under the selection policy, or `None` at stable
+    /// state (confirmed by the worklist's authoritative search).
+    fn next_firing(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &ElementBag,
+        rng: Option<&mut ChaCha8Rng>,
+        scratch: &mut SearchScratch,
+    ) -> Result<Option<Firing>, ExecError> {
+        let Some(rng) = rng else {
+            // Lowest-indexed enabled reaction across both matchers: the
+            // worklist's dirty reactions below the network's first ready
+            // one are searched in index order first.
+            let first_ready = self.rete.first_ready(compiled, bag);
+            let bound = first_ready.unwrap_or(usize::MAX);
+            while let Some((slot, r)) = self.sched.lowest_dirty() {
+                if r >= bound {
+                    break;
+                }
+                if let Some(f) = self.sched.try_slot(compiled, bag, slot, None)? {
+                    return Ok(Some(f));
+                }
+            }
+            return match first_ready {
+                Some(r) => rete_deterministic_firing(compiled, bag, r, scratch),
+                None => Ok(self.sched.confirm_stable(compiled, bag, None)?),
+            };
+        };
+        loop {
+            self.rete.ready_reactions(compiled, bag, &mut self.ready);
+            let (ready, dirty) = (self.ready.len(), self.sched.dirty_len());
+            if ready + dirty == 0 {
+                return Ok(self.sched.confirm_stable(compiled, bag, Some(rng))?);
+            }
+            let k = (rng.next_u64() % (ready + dirty) as u64) as usize;
+            if k < ready {
+                return match self.rete.pick_firing(compiled, bag, self.ready[k], rng)? {
+                    Some(f) => Ok(Some(f)),
+                    // The exact search has the last word on stability.
+                    None => rete_seeded_fallback(compiled, bag, rng, scratch),
+                };
+            }
+            if let Some(f) = self.sched.try_slot(compiled, bag, k - ready, Some(rng))? {
+                return Ok(Some(f));
+            }
+        }
+    }
+
+    /// Account a firing already applied to `bag`.
+    fn on_fired(&mut self, compiled: &CompiledProgram, bag: &ElementBag, firing: &Firing) {
+        self.rete.on_firing_applied(compiled, bag, firing);
+        // Anchored probing stays trace-preserving in both selection
+        // modes (see `DeltaScheduler::on_fired`).
+        self.sched.on_fired(firing, true);
+    }
+
+    /// Account externally inserted elements, already in `bag`.
+    fn on_inserted(&mut self, compiled: &CompiledProgram, bag: &ElementBag, elements: &[Element]) {
+        self.rete.on_inserted(compiled, bag, elements);
+        self.sched.on_inserted(elements, true);
+    }
+
+    /// Wave-boundary re-decision under [`Scheduling::Auto`]. A reaction
+    /// still on Rete that fired or evaluated guards since its last
+    /// decision is re-decided from its profile (or a fresh sample of the
+    /// bag); when search wins it switches — its memories are
+    /// dropped and the worklist takes it over, starting dirty. Search
+    /// never hands a reaction back: its cost is bounded by the candidates
+    /// it examines, and a one-way switch cannot oscillate. Returns the
+    /// reactions that switched.
+    fn rechoose(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &ElementBag,
+        profiles: &ProfileTable,
+    ) -> Vec<usize> {
+        let mut switched = Vec::new();
+        for (r, row) in profiles.rows.iter().enumerate() {
+            let evidence = row.guard_evals + row.fired;
+            if self.choice[r].matcher != Matcher::Rete || evidence == self.decided_at[r] {
+                continue;
+            }
+            self.decided_at[r] = evidence;
+            let cr = &compiled.reactions[r];
+            if !cr.search_eligible() {
+                continue;
+            }
+            let next = choose_matcher(cr, bag, Some(row));
+            if next.pass_rate.is_some() {
+                self.choice[r] = next;
+            }
+            if next.matcher == Matcher::Search {
+                self.rete.unserve(compiled, r);
+                self.sched.serve(compiled, r);
+                self.switches += 1;
+                switched.push(r);
+            }
+        }
+        switched
+    }
 }
 
 /// Engine state, persistent across waves.
@@ -532,18 +707,20 @@ impl Session {
         };
         let state = match config.engine {
             Engine::Seq => {
-                let matcher =
-                    match config.scheduling {
-                        Scheduling::Rescan => SeqMatcher::Rescan {
-                            order: (0..nreactions).collect(),
-                        },
-                        Scheduling::Delta => {
-                            SeqMatcher::Delta(Box::new(DeltaScheduler::new(&compiled)))
-                        }
-                        Scheduling::Rete => SeqMatcher::Rete(Box::new(
-                            ReteNetwork::with_watermark(&compiled, &initial, config.rete_watermark),
-                        )),
-                    };
+                let matcher = match config.scheduling {
+                    Scheduling::Rescan => SeqMatcher::Rescan {
+                        order: (0..nreactions).collect(),
+                    },
+                    scheduling => {
+                        let choice = SeqMatchers::choose(&compiled, &initial, scheduling);
+                        SeqMatcher::Matchers(Box::new(SeqMatchers::build(
+                            &compiled,
+                            &initial,
+                            config.rete_watermark,
+                            choice,
+                        )))
+                    }
+                };
                 State::Seq {
                     multiset: initial,
                     matcher,
@@ -562,9 +739,12 @@ impl Session {
         // past these values are reported as per-wave activity.
         let seen_spill = match &state {
             State::Seq {
-                matcher: SeqMatcher::Rete(n),
+                matcher: SeqMatcher::Matchers(m),
                 ..
-            } => (n.stats.spill_demotions, n.stats.spill_repromotions),
+            } => (
+                m.rete.stats.spill_demotions,
+                m.rete.stats.spill_repromotions,
+            ),
             _ => (0, 0),
         };
         let profiles = ProfileTable::new(compiled.reactions.iter().map(|r| r.name.as_str()));
@@ -614,17 +794,20 @@ impl Session {
             return;
         }
         for (i, r) in self.compiled.reactions.iter().enumerate() {
+            let (matcher, pass_rate) = self.matcher_of(i);
             self.emit(TraceEvent::PlanExplained {
                 reaction: i,
                 name: r.name.clone(),
-                plan: r.explain_plan(),
+                plan: self.explain_plan(i),
+                matcher: matcher.to_string(),
+                pass_rate,
             });
         }
         let built = match &self.state {
             State::Seq {
-                matcher: SeqMatcher::Rete(n),
+                matcher: SeqMatcher::Matchers(m),
                 ..
-            } => Some((1, n.stats.tokens_created)),
+            } if m.rete.serves_any() => Some((1, m.rete.stats.tokens_created)),
             State::Sharded(st) => {
                 let (slices, tokens) = st.slices_info();
                 Some((slices, tokens))
@@ -639,6 +822,63 @@ impl Session {
             });
         }
         self.config.telemetry.flush();
+    }
+
+    /// The matcher serving reaction `r` (`"rete"`, `"search"`,
+    /// `"rescan"` or `"parallel"`) and the pass rate its choice rests on.
+    fn matcher_of(&self, r: usize) -> (&'static str, Option<f64>) {
+        match &self.state {
+            State::Seq {
+                matcher: SeqMatcher::Matchers(m),
+                ..
+            } => (m.choice[r].matcher.as_str(), m.choice[r].pass_rate),
+            State::Seq { .. } => ("rescan", None),
+            _ => ("parallel", None),
+        }
+    }
+
+    /// Reaction `r`'s compiled plan
+    /// ([`CompiledReaction::explain_plan`](crate::compiled::CompiledReaction::explain_plan))
+    /// followed by the matcher that serves it in this session and the
+    /// sampled guard pass rate behind that choice.
+    ///
+    /// # Panics
+    ///
+    /// If `r` is not a reaction index of the program.
+    pub fn explain_plan(&self, r: usize) -> String {
+        let (matcher, pass_rate) = self.matcher_of(r);
+        let mut plan = self.compiled.reactions[r].explain_plan();
+        plan.push_str(&format!("  matcher: {matcher}"));
+        if let Some(p) = pass_rate {
+            plan.push_str(&format!(" (sampled pass rate {p:.3})"));
+        }
+        plan.push('\n');
+        plan
+    }
+
+    /// The matcher serving each reaction of a sequential session built
+    /// with [`Scheduling::Rete`], [`Scheduling::Delta`] or
+    /// [`Scheduling::Auto`], in reaction order; `None` for the rescanning
+    /// reference and the parallel engines.
+    pub fn matchers(&self) -> Option<Vec<Matcher>> {
+        match &self.state {
+            State::Seq {
+                matcher: SeqMatcher::Matchers(m),
+                ..
+            } => Some(m.choice.iter().map(|c| c.matcher).collect()),
+            _ => None,
+        }
+    }
+
+    /// Wave-boundary matcher switches so far (see [`Scheduling::Auto`]).
+    pub fn matcher_switches(&self) -> u64 {
+        match &self.state {
+            State::Seq {
+                matcher: SeqMatcher::Matchers(m),
+                ..
+            } => m.switches,
+            _ => 0,
+        }
     }
 
     fn with_observer(mut self, observer: Option<WaveObserver>) -> Session {
@@ -731,12 +971,8 @@ impl Session {
                 for e in &elements {
                     multiset.insert(e.clone());
                 }
-                match matcher {
-                    SeqMatcher::Rescan { .. } => {}
-                    // Anchored probing stays trace-preserving in both
-                    // selection modes (see `DeltaScheduler::on_fired`).
-                    SeqMatcher::Delta(s) => s.on_inserted(&elements, true),
-                    SeqMatcher::Rete(n) => n.on_inserted(&self.compiled, multiset, &elements),
+                if let SeqMatcher::Matchers(m) = matcher {
+                    m.on_inserted(&self.compiled, multiset, &elements);
                 }
             }
             State::Sharded(st) => st.inject(&self.compiled, &elements),
@@ -773,21 +1009,19 @@ impl Session {
         let drained = match &mut self.state {
             State::Seq { multiset, matcher } => {
                 let out = std::mem::take(multiset);
-                match matcher {
-                    SeqMatcher::Rescan { .. } => {}
-                    // The scheduler's "clean" proofs survive draining:
-                    // removals never enable a reaction, so a reaction
-                    // with no match keeps having none in the empty bag.
-                    SeqMatcher::Delta(_) => {}
-                    SeqMatcher::Rete(n) => {
-                        let stats = n.stats.clone();
-                        **n = ReteNetwork::with_watermark(
-                            &self.compiled,
-                            &ElementBag::new(),
-                            self.config.rete_watermark,
-                        );
-                        n.stats = stats;
-                    }
+                // The scheduler's "clean" proofs survive draining:
+                // removals never enable a reaction, so a reaction with no
+                // match keeps having none in the empty bag. The network's
+                // memories are rebuilt empty.
+                if let SeqMatcher::Matchers(m) = matcher {
+                    let stats = m.rete.stats.clone();
+                    m.rete = ReteNetwork::with_served(
+                        &self.compiled,
+                        &ElementBag::new(),
+                        self.config.rete_watermark,
+                        &SeqMatchers::mask(&m.choice, Matcher::Rete),
+                    );
+                    m.rete.stats = stats;
                 }
                 out
             }
@@ -858,19 +1092,10 @@ impl Session {
                         self.trace.as_mut(),
                         &mut prof,
                     )?,
-                    SeqMatcher::Delta(scheduler) => wave_delta(
+                    SeqMatcher::Matchers(m) => wave_matchers(
                         &ctx,
                         multiset,
-                        scheduler,
-                        self.rng.as_mut(),
-                        &mut wave_stats,
-                        self.trace.as_mut(),
-                        &mut prof,
-                    )?,
-                    SeqMatcher::Rete(network) => wave_rete(
-                        &ctx,
-                        multiset,
-                        network,
+                        m,
                         self.rng.as_mut(),
                         &mut self.scratch,
                         &mut wave_stats,
@@ -950,19 +1175,10 @@ impl Session {
                 self.trace.as_mut(),
                 &mut prof,
             )?,
-            SeqMatcher::Delta(scheduler) => wave_delta_steps(
+            SeqMatcher::Matchers(m) => wave_matchers_steps(
                 &ctx,
                 multiset,
-                scheduler,
-                self.rng.as_mut(),
-                &mut wave_stats,
-                self.trace.as_mut(),
-                &mut prof,
-            )?,
-            SeqMatcher::Rete(network) => wave_rete_steps(
-                &ctx,
-                multiset,
-                network,
+                m,
                 self.rng.as_mut(),
                 &mut self.scratch,
                 &mut wave_stats,
@@ -985,6 +1201,7 @@ impl Session {
     ) -> Result<Wave, ExecError> {
         self.absorb_profiles(&wave_stats, &prof);
         self.maybe_tier_up();
+        self.maybe_switch_matchers();
         if self.config.telemetry.enabled() {
             self.emit_wave_aggregates();
             self.emit(TraceEvent::WaveEnd {
@@ -1020,9 +1237,9 @@ impl Session {
         }
         let counters = match &mut self.state {
             State::Seq {
-                matcher: SeqMatcher::Rete(n),
+                matcher: SeqMatcher::Matchers(m),
                 ..
-            } => Some(n.take_reaction_counters()),
+            } => Some(m.rete.take_reaction_counters()),
             State::Sharded(st) => Some(st.take_reaction_counters()),
             _ => None,
         };
@@ -1080,6 +1297,34 @@ impl Session {
         }
     }
 
+    /// Wave-boundary matcher re-decision under [`Scheduling::Auto`] (see
+    /// `SeqMatchers::rechoose`): never mid-wave, and every matcher
+    /// answers exactly, so determinism and finals are untouched.
+    fn maybe_switch_matchers(&mut self) {
+        if self.config.scheduling != Scheduling::Auto {
+            return;
+        }
+        let State::Seq {
+            multiset,
+            matcher: SeqMatcher::Matchers(m),
+        } = &mut self.state
+        else {
+            return;
+        };
+        let switched = m.rechoose(&self.compiled, multiset, &self.profiles);
+        if self.config.telemetry.enabled() {
+            for r in switched {
+                let (to, pass_rate) = self.matcher_of(r);
+                self.emit(TraceEvent::MatcherSwitched {
+                    reaction: r,
+                    name: self.compiled.reactions[r].name.clone(),
+                    to: to.to_string(),
+                    pass_rate,
+                });
+            }
+        }
+    }
+
     /// Lifetime count of baseline → optimised VM re-compiles across the
     /// session (each [`TraceEvent::TierUp`] event corresponds to one).
     pub fn vm_tier_ups(&self) -> u64 {
@@ -1100,49 +1345,41 @@ impl Session {
     /// activity and delta-scheduler anchored-confirm searches — as
     /// deltas against the lifetime counters already reported.
     fn emit_wave_aggregates(&mut self) {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Rete(n),
-                ..
-            } => {
-                let demotions = n.stats.spill_demotions - self.seen_spill.0;
-                let repromotions = n.stats.spill_repromotions - self.seen_spill.1;
-                let lifetime = (n.stats.spill_demotions, n.stats.spill_repromotions);
-                if demotions + repromotions > 0 {
-                    self.emit(TraceEvent::SpillActivity {
-                        demotions,
-                        repromotions,
-                    });
-                }
-                self.seen_spill = lifetime;
-            }
-            State::Seq {
-                matcher: SeqMatcher::Delta(s),
-                ..
-            } => {
-                let searches = s.stats.anchored_confirm_searches - self.seen_confirms;
-                let lifetime = s.stats.anchored_confirm_searches;
-                if searches > 0 {
-                    self.emit(TraceEvent::AnchoredConfirms { searches });
-                }
-                self.seen_confirms = lifetime;
-            }
-            _ => {}
+        let State::Seq {
+            matcher: SeqMatcher::Matchers(m),
+            ..
+        } = &self.state
+        else {
+            return;
+        };
+        let (n, s) = (&m.rete.stats, &m.sched.stats);
+        let demotions = n.spill_demotions - self.seen_spill.0;
+        let repromotions = n.spill_repromotions - self.seen_spill.1;
+        let spill_lifetime = (n.spill_demotions, n.spill_repromotions);
+        let searches = s.anchored_confirm_searches - self.seen_confirms;
+        let confirms_lifetime = s.anchored_confirm_searches;
+        if demotions + repromotions > 0 {
+            self.emit(TraceEvent::SpillActivity {
+                demotions,
+                repromotions,
+            });
         }
+        if searches > 0 {
+            self.emit(TraceEvent::AnchoredConfirms { searches });
+        }
+        self.seen_spill = spill_lifetime;
+        self.seen_confirms = confirms_lifetime;
     }
 
     /// Consume the session: the final multiset, the last wave's status,
     /// and the cumulative counters across all waves (including the
     /// scheduler/network totals under `sched`/`rete`).
     pub fn finish(self) -> ExecResult {
-        let (multiset, sched, rete) = match self.state {
-            State::Seq { multiset, matcher } => match matcher {
-                SeqMatcher::Rescan { .. } => (multiset, None, None),
-                SeqMatcher::Delta(s) => (multiset, Some(s.stats.clone()), None),
-                SeqMatcher::Rete(n) => (multiset, None, Some(n.stats.clone())),
-            },
-            State::Sharded(st) => (st.into_bag(), None, None),
-            State::Probe(st) => (st.into_bag(), None, None),
+        let (sched, rete) = (self.sched_stats(), self.rete_stats());
+        let multiset = match self.state {
+            State::Seq { multiset, .. } => multiset,
+            State::Sharded(st) => st.into_bag(),
+            State::Probe(st) => st.into_bag(),
         };
         ExecResult {
             multiset,
@@ -1176,27 +1413,35 @@ impl Session {
         par
     }
 
-    /// The cumulative Rete network counters, when a Rete-backed engine is
-    /// live (sequential Rete scheduling only; the parallel slices fold
-    /// into [`Session::par_stats`]).
+    /// The cumulative Rete network counters, when the sequential network
+    /// is live: under [`Scheduling::Rete`] and [`Scheduling::Auto`],
+    /// counting the reactions the network serves (the parallel slices
+    /// fold into [`Session::par_stats`]).
     pub fn rete_stats(&self) -> Option<ReteStats> {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Rete(n),
-                ..
-            } => Some(n.stats.clone()),
+        match (&self.state, self.config.scheduling) {
+            (
+                State::Seq {
+                    matcher: SeqMatcher::Matchers(m),
+                    ..
+                },
+                Scheduling::Rete | Scheduling::Auto,
+            ) => Some(m.rete.stats.clone()),
             _ => None,
         }
     }
 
-    /// The cumulative delta-scheduler counters, when delta scheduling is
-    /// live.
+    /// The cumulative delta-scheduler counters, when the worklist is
+    /// live: under [`Scheduling::Delta`] and [`Scheduling::Auto`],
+    /// counting the reactions the worklist serves.
     pub fn sched_stats(&self) -> Option<SchedStats> {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Delta(s),
-                ..
-            } => Some(s.stats.clone()),
+        match (&self.state, self.config.scheduling) {
+            (
+                State::Seq {
+                    matcher: SeqMatcher::Matchers(m),
+                    ..
+                },
+                Scheduling::Delta | Scheduling::Auto,
+            ) => Some(m.sched.stats.clone()),
             _ => None,
         }
     }
@@ -1222,6 +1467,8 @@ impl Session {
         reg.counter("gamma_elements_produced_total", &[], self.stats.produced);
         reg.gauge("gamma_bag_len", &[], self.bag_len() as f64);
         reg.counter("gamma_vm_tier_ups_total", &[], self.tier_ups);
+        reg.counter("gamma_matcher_switches_total", &[], self.matcher_switches());
+        let matchers = self.matchers();
         // Element-arena census. The arena is process-global (ids must be
         // meaningful across every engine and worker), so these gauges
         // describe the process, not this session alone.
@@ -1239,6 +1486,15 @@ impl Session {
                     crate::vm::Tier::Optimized => 1.0,
                 };
                 reg.gauge("gamma_reaction_vm_tier", labels, tier);
+            }
+            if let Some(matchers) = &matchers {
+                // 0 = rete, 1 = search — a step gauge, like the VM tier.
+                let search = matchers[r] == Matcher::Search;
+                reg.gauge(
+                    "gamma_reaction_matcher",
+                    labels,
+                    f64::from(u8::from(search)),
+                );
             }
             reg.counter("gamma_reaction_fired_total", labels, row.fired);
             reg.counter("gamma_reaction_guard_evals_total", labels, row.guard_evals);
@@ -1346,6 +1602,14 @@ impl Session {
             sched: self.sched_stats(),
             rete: self.rete_stats(),
             profiles: self.profiles.clone(),
+            matchers: match &self.state {
+                State::Seq {
+                    matcher: SeqMatcher::Matchers(m),
+                    ..
+                } => Some(m.choice.clone()),
+                _ => None,
+            },
+            matcher_switches: self.matcher_switches(),
         }
     }
 
@@ -1400,30 +1664,37 @@ impl Session {
                     Scheduling::Rescan => SeqMatcher::Rescan {
                         order: (0..nreactions).collect(),
                     },
-                    // A fresh scheduler starts all-dirty, which preserves
+                    // The captured matcher choice is restored, not re-made,
+                    // so a session that switched at a wave boundary
+                    // resumes on the same matchers. Rebuilding the network
+                    // over the restored multiset reproduces its memories
+                    // exactly (they are a pure function of the bag); a
+                    // fresh worklist starts all-dirty, which preserves
                     // deterministic traces (the lowest-indexed enabled
                     // reaction is in the dirty set either way) and only
                     // costs one extra search per reaction.
-                    Scheduling::Delta => {
-                        let mut s = Box::new(DeltaScheduler::new(&compiled));
-                        if let Some(stats) = &snapshot.sched {
-                            s.stats = stats.clone();
-                        }
-                        SeqMatcher::Delta(s)
-                    }
-                    // Rebuilding the network over the restored multiset
-                    // reproduces the memories exactly: they are a pure
-                    // function of the bag.
-                    Scheduling::Rete => {
-                        let mut n = Box::new(ReteNetwork::with_watermark(
+                    scheduling => {
+                        let choice = match snapshot.matchers.clone() {
+                            Some(c) if c.len() == nreactions => c,
+                            _ => SeqMatchers::choose(&compiled, &snapshot.bag, scheduling),
+                        };
+                        let mut m = Box::new(SeqMatchers::build(
                             &compiled,
                             &snapshot.bag,
                             config.rete_watermark,
+                            choice,
                         ));
-                        if let Some(stats) = &snapshot.rete {
-                            n.stats = stats.clone();
+                        if let Some(stats) = &snapshot.sched {
+                            m.sched.stats = stats.clone();
                         }
-                        SeqMatcher::Rete(n)
+                        if let Some(stats) = &snapshot.rete {
+                            m.rete.stats = stats.clone();
+                        }
+                        m.switches = snapshot.matcher_switches;
+                        for (seen, row) in m.decided_at.iter_mut().zip(&snapshot.profiles.rows) {
+                            *seen = row.guard_evals + row.fired;
+                        }
+                        SeqMatcher::Matchers(m)
                     }
                 };
                 State::Seq {
@@ -1492,6 +1763,7 @@ fn engine_desc(config: &EngineConfig) -> String {
             Scheduling::Rescan => "seq/rescan".to_string(),
             Scheduling::Delta => "seq/delta".to_string(),
             Scheduling::Rete => "seq/rete".to_string(),
+            Scheduling::Auto => "seq/auto".to_string(),
         },
         Engine::Parallel(ParEngine::ShardedRete) => {
             format!("parallel/sharded-rete/{}", config.workers)
@@ -1512,8 +1784,11 @@ fn engine_desc(config: &EngineConfig) -> String {
 /// v3 bag's row order is the live-content insertion order the
 /// columnar buckets maintain, which restored deterministic waves key
 /// on. Pre-arena snapshots are rejected rather than silently replayed
-/// with a potentially different firing order.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// with a potentially different firing order. v4 adds the per-reaction
+/// matcher choice of [`Scheduling::Auto`] (`matchers`,
+/// `matcher_switches`), so a restore resumes on the matchers the session
+/// had switched to instead of re-deciding from the restored bag.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A serializable point-in-time capture of a [`Session`], produced by
 /// [`Session::snapshot_state`] and consumed by [`Session::restore`]. See
@@ -1547,13 +1822,19 @@ pub struct SessionSnapshot {
     /// Selection-RNG position (sequential seeded sessions), so restored
     /// waves continue the same nondeterminism stream mid-flight.
     pub rng: Option<[u64; 4]>,
-    /// Cumulative delta-scheduler counters, when delta scheduling ran.
+    /// Cumulative delta-scheduler counters (see [`Session::sched_stats`]).
     pub sched: Option<SchedStats>,
-    /// Cumulative join-network counters, when Rete scheduling ran.
+    /// Cumulative join-network counters (see [`Session::rete_stats`]).
     pub rete: Option<ReteStats>,
     /// Cumulative per-reaction execution profiles (see
     /// [`crate::telemetry`]).
     pub profiles: ProfileTable,
+    /// The per-reaction matcher choice of a sequential session (see
+    /// [`Session::matchers`]); `None` for the rescanning reference and
+    /// the parallel engines.
+    pub matchers: Option<Vec<MatcherChoice>>,
+    /// Wave-boundary matcher switches so far.
+    pub matcher_switches: u64,
 }
 
 /// Per-wave context shared by the sequential loops.
@@ -1645,41 +1926,6 @@ fn wave_rescan(
     }
 }
 
-/// The delta-scheduled wave: after a firing, only reactions reachable
-/// from the produced elements through the dependency index are
-/// re-searched. See [`crate::schedule`] for the invariants.
-fn wave_delta(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    scheduler: &mut DeltaScheduler,
-    mut rng: Option<&mut ChaCha8Rng>,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<Status, ExecError> {
-    // Anchored probes are trace-preserving in both modes; see
-    // `DeltaScheduler::next_firing`.
-    let use_anchors = true;
-    let mut fired = 0u64;
-    loop {
-        if fired >= ctx.budget {
-            return Ok(Status::BudgetExhausted);
-        }
-        let m0 = prof.begin();
-        match scheduler.next_firing(ctx.compiled, multiset, rng.as_deref_mut())? {
-            None => return Ok(Status::Stable),
-            Some(firing) => {
-                let a0 = prof.begin();
-                apply(multiset, &firing);
-                scheduler.on_fired(&firing, use_anchors);
-                let match_ns = prof.note(firing.reaction, m0, a0);
-                ctx.record(&firing, fired, match_ns, stats, &mut trace);
-                fired += 1;
-            }
-        }
-    }
-}
-
 /// Deterministic-mode firing selection for a reaction the rete network
 /// reports enabled: the exact per-reaction index search (the
 /// trace-preserving tuple choice). If the network over-approximated (a
@@ -1720,19 +1966,20 @@ fn rete_seeded_fallback(
     Ok(compiled.find_any_fast(&order, multiset, Some(rng), scratch)?)
 }
 
-/// The rete-scheduled wave: the join network memorises partial and
-/// complete matches (bounded by the spill watermark), the engine feeds
-/// it each firing's net delta, and a drained network *is* the stability
-/// proof — no authoritative rescan. Under deterministic selection the
-/// network only answers "which reaction is enabled" and the tuple comes
-/// from the same deterministic index search, so the firing trace is
-/// identical to the rescanning reference by construction. Under seeded
-/// selection the firing is read straight off a random terminal token.
+/// The matcher-driven wave: each firing comes from the Rete network or
+/// the delta worklist (see [`SeqMatchers`]) and is fed back to both as
+/// its net delta. A drained network plus a drained, confirmed worklist
+/// *is* the stability proof — no whole-program rescan of the network's
+/// reactions. Under deterministic selection every tuple comes from the
+/// same index-order search as the rescanning reference, so the firing
+/// trace is identical by construction; under seeded selection the
+/// network reads a random terminal token and the worklist draws from
+/// the index.
 #[allow(clippy::too_many_arguments)]
-fn wave_rete(
+fn wave_matchers(
     ctx: &SeqWaveCtx<'_>,
     multiset: &mut ElementBag,
-    network: &mut ReteNetwork,
+    m: &mut SeqMatchers,
     mut rng: Option<&mut ChaCha8Rng>,
     scratch: &mut SearchScratch,
     stats: &mut ExecStats,
@@ -1745,37 +1992,20 @@ fn wave_rete(
             break Status::BudgetExhausted;
         }
         let m0 = prof.begin();
-        let picked = match rng.as_deref_mut() {
-            None => network.first_ready(ctx.compiled, multiset),
-            Some(r) => network.pick_ready(ctx.compiled, multiset, r),
-        };
-        let Some(reaction) = picked else {
+        let Some(firing) = m.next_firing(ctx.compiled, multiset, rng.as_deref_mut(), scratch)?
+        else {
             break Status::Stable;
-        };
-        let firing = match rng.as_deref_mut() {
-            Some(r) => match network.pick_firing(ctx.compiled, multiset, reaction, r)? {
-                Some(f) => f,
-                // The exact search has the last word on stability.
-                None => match rete_seeded_fallback(ctx.compiled, multiset, r, scratch)? {
-                    Some(f) => f,
-                    None => break Status::Stable,
-                },
-            },
-            None => match rete_deterministic_firing(ctx.compiled, multiset, reaction, scratch)? {
-                Some(f) => f,
-                None => break Status::Stable,
-            },
         };
         let a0 = prof.begin();
         apply(multiset, &firing);
-        network.on_firing_applied(ctx.compiled, multiset, &firing);
+        m.on_fired(ctx.compiled, multiset, &firing);
         let match_ns = prof.note(firing.reaction, m0, a0);
         ctx.record(&firing, fired, match_ns, stats, &mut trace);
         fired += 1;
     };
 
-    // The emptiness proof replaced the drain-time rescan; debug builds
-    // still cross-check it against the exact search.
+    // The network's emptiness proof replaced the drain-time rescan;
+    // debug builds still cross-check it against the exact search.
     #[cfg(debug_assertions)]
     if status == Status::Stable {
         let order: Vec<usize> = (0..ctx.compiled.reactions.len()).collect();
@@ -1784,27 +2014,41 @@ fn wave_rete(
             .find_any_fast(&order, multiset, None, scratch)?;
         debug_assert!(
             confirm.is_none(),
-            "rete network drained while a reaction was enabled"
+            "matchers drained while a reaction was enabled"
         );
     }
     Ok(status)
 }
 
-/// Rete-scheduled maximal parallel steps: consumed tuples are fed to the
-/// network as they are removed (the visible multiset shrinks within a
-/// step), and withheld products are fed at the step barrier together
-/// with their insertion.
+/// Matcher-driven maximal parallel steps: within a step the visible
+/// multiset only shrinks (products are withheld), so consumed tuples are
+/// fed to the matchers as they are removed, and a reaction the worklist
+/// proves matchless stays so for the rest of the step; products join at
+/// the step barrier.
 #[allow(clippy::too_many_arguments)]
-fn wave_rete_steps(
+fn wave_matchers_steps(
     ctx: &SeqWaveCtx<'_>,
     multiset: &mut ElementBag,
-    network: &mut ReteNetwork,
+    m: &mut SeqMatchers,
     mut rng: Option<&mut ChaCha8Rng>,
     scratch: &mut SearchScratch,
     stats: &mut ExecStats,
     mut trace: Option<&mut Vec<FiringRecord>>,
     prof: &mut ProfTimes,
 ) -> Result<(Status, Vec<usize>), ExecError> {
+    // Step barrier: withheld products become visible and join both
+    // matchers.
+    let release = |multiset: &mut ElementBag, m: &mut SeqMatchers, products: &[Firing]| {
+        let mut inserted: Vec<Element> = Vec::new();
+        for f in products {
+            for e in &f.produced {
+                multiset.insert(e.clone());
+                inserted.push(e.clone());
+            }
+            m.sched.on_inserted(&f.produced, true);
+        }
+        m.rete.on_inserted(ctx.compiled, multiset, &inserted);
+    };
     let mut profile = Vec::new();
     let mut fired = 0u64;
     let status = 'outer: loop {
@@ -1812,46 +2056,23 @@ fn wave_rete_steps(
         let mut products: Vec<Firing> = Vec::new();
         loop {
             if fired >= ctx.budget {
-                let mut inserted: Vec<Element> = Vec::new();
-                for f in &products {
-                    for e in &f.produced {
-                        multiset.insert(e.clone());
-                        inserted.push(e.clone());
-                    }
-                }
-                network.on_inserted(ctx.compiled, multiset, &inserted);
+                release(multiset, m, &products);
                 if fired_this_step > 0 {
                     profile.push(fired_this_step);
                 }
                 break 'outer Status::BudgetExhausted;
             }
             let m0 = prof.begin();
-            let picked = match rng.as_deref_mut() {
-                None => network.first_ready(ctx.compiled, multiset),
-                Some(r) => network.pick_ready(ctx.compiled, multiset, r),
-            };
-            let Some(reaction) = picked else { break };
-            // A dry fallback result just ends the step (products of this
-            // step are still withheld, so the next step's barrier
-            // re-checks).
-            let firing = match rng.as_deref_mut() {
-                Some(r) => match network.pick_firing(ctx.compiled, multiset, reaction, r)? {
-                    Some(f) => f,
-                    None => match rete_seeded_fallback(ctx.compiled, multiset, r, scratch)? {
-                        Some(f) => f,
-                        None => break,
-                    },
-                },
-                None => match rete_deterministic_firing(ctx.compiled, multiset, reaction, scratch)?
-                {
-                    Some(f) => f,
-                    None => break,
-                },
+            let Some(firing) =
+                m.next_firing(ctx.compiled, multiset, rng.as_deref_mut(), scratch)?
+            else {
+                break;
             };
             let a0 = prof.begin();
             let ok = multiset.remove_all(&firing.consumed);
             debug_assert!(ok);
-            network.on_removed(ctx.compiled, multiset, &firing.consumed);
+            m.rete.on_removed(ctx.compiled, multiset, &firing.consumed);
+            m.sched.on_fired_consumed_only(&firing);
             let match_ns = prof.note(firing.reaction, m0, a0);
             ctx.record(&firing, fired, match_ns, stats, &mut trace);
             fired += 1;
@@ -1862,79 +2083,7 @@ fn wave_rete_steps(
             break Status::Stable;
         }
         profile.push(fired_this_step);
-        // Step barrier: products become visible and join the network.
-        let mut inserted: Vec<Element> = Vec::new();
-        for f in &products {
-            for e in &f.produced {
-                multiset.insert(e.clone());
-                inserted.push(e.clone());
-            }
-        }
-        network.on_inserted(ctx.compiled, multiset, &inserted);
-    };
-    Ok((status, profile))
-}
-
-/// Delta-scheduled maximal parallel steps: within a step the visible
-/// multiset only shrinks (products are withheld), so a reaction that
-/// fails a search stays matchless for the rest of the step; products
-/// wake their dependents at the step barrier.
-fn wave_delta_steps(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    scheduler: &mut DeltaScheduler,
-    mut rng: Option<&mut ChaCha8Rng>,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<(Status, Vec<usize>), ExecError> {
-    // Trace-preserving in both modes; see `wave_delta`.
-    let use_anchors = true;
-    let mut profile = Vec::new();
-    let mut fired = 0u64;
-    let status = 'outer: loop {
-        let mut fired_this_step = 0usize;
-        let mut products: Vec<Firing> = Vec::new();
-        loop {
-            if fired >= ctx.budget {
-                for f in &products {
-                    for e in &f.produced {
-                        multiset.insert(e.clone());
-                    }
-                    scheduler.on_inserted(&f.produced, use_anchors);
-                }
-                if fired_this_step > 0 {
-                    profile.push(fired_this_step);
-                }
-                break 'outer Status::BudgetExhausted;
-            }
-            let m0 = prof.begin();
-            match scheduler.next_firing(ctx.compiled, multiset, rng.as_deref_mut())? {
-                None => break,
-                Some(firing) => {
-                    let a0 = prof.begin();
-                    let ok = multiset.remove_all(&firing.consumed);
-                    debug_assert!(ok);
-                    scheduler.on_fired_consumed_only(&firing);
-                    let match_ns = prof.note(firing.reaction, m0, a0);
-                    ctx.record(&firing, fired, match_ns, stats, &mut trace);
-                    fired += 1;
-                    fired_this_step += 1;
-                    products.push(firing);
-                }
-            }
-        }
-        if fired_this_step == 0 {
-            break Status::Stable;
-        }
-        profile.push(fired_this_step);
-        // Step barrier: products become visible and wake dependents.
-        for f in &products {
-            for e in &f.produced {
-                multiset.insert(e.clone());
-            }
-            scheduler.on_inserted(&f.produced, use_anchors);
-        }
+        release(multiset, m, &products);
     };
     Ok((status, profile))
 }

@@ -105,8 +105,15 @@ pub enum TraceEvent {
         reaction: usize,
         /// Reaction name.
         name: String,
-        /// The rendered plan (join order, pushed guards, disjunction).
+        /// The rendered plan (join order, pushed guards, disjunction,
+        /// and the serving matcher).
         plan: String,
+        /// The matcher serving the reaction: `"rete"` or `"search"`
+        /// (sequential sessions), `"rescan"`, or `"parallel"`.
+        matcher: String,
+        /// The sampled guard pass rate the matcher choice rests on, when
+        /// one was estimated.
+        pass_rate: Option<f64>,
     },
     /// The Rete join network (or the per-worker slices) finished
     /// building, at session start or snapshot restore.
@@ -127,6 +134,18 @@ pub enum TraceEvent {
         demotions: u64,
         /// Demoted levels re-materialised this wave.
         repromotions: u64,
+    },
+    /// A wave boundary moved a reaction to another matcher
+    /// ([`Scheduling::Auto`](crate::seq::Scheduling::Auto) only).
+    MatcherSwitched {
+        /// Reaction index.
+        reaction: usize,
+        /// Reaction name.
+        name: String,
+        /// The matcher now serving it (`"search"`).
+        to: String,
+        /// The guard pass rate the switch rests on.
+        pass_rate: Option<f64>,
     },
     /// Wave-aggregate anchored-confirm searches of the delta scheduler
     /// (emitted only when nonzero).
@@ -267,6 +286,7 @@ impl TraceRecord {
             TraceEvent::ReteBuilt { .. } => "rete_built",
             TraceEvent::SpillActivity { .. } => "spill_activity",
             TraceEvent::AnchoredConfirms { .. } => "anchored_confirms",
+            TraceEvent::MatcherSwitched { .. } => "matcher_switched",
             TraceEvent::DeltaPublished { .. } => "delta_published",
             TraceEvent::DeltaProcessed { .. } => "delta_processed",
             TraceEvent::StealMiss { .. } => "steal_miss",

@@ -218,6 +218,26 @@ impl ValueBucket {
         self.epoch
     }
 
+    /// Physical row count, tombstones included: the index space of
+    /// [`Self::row`]. Compaction keeps tombstones to at most
+    /// `max(8, live rows)`, so a uniform draw over physical rows lands on
+    /// a live one at least about half the time.
+    #[inline]
+    pub fn row_len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Physical row `i` as `(value, count)`; a count of zero marks a
+    /// tombstone. Rows keep their insertion order and are never
+    /// reordered, so seeded draws over row indices leave deterministic
+    /// enumeration untouched. Indices are valid at the current
+    /// [`Self::epoch`].
+    #[inline]
+    pub fn row(&self, i: usize) -> (&Value, usize) {
+        let row = &self.rows[i];
+        (row.value, row.count)
+    }
+
     /// Iterate live rows starting at physical row `start`, yielding the
     /// row index alongside the id/value/count triple.
     ///

@@ -397,18 +397,22 @@ impl ServiceRuntime {
     /// under its tenant's slot lock, so one tenant's waves serialize
     /// while distinct tenants' waves overlap.
     pub fn run_next_wave(&self) -> Result<Option<WaveReport>, ServiceError> {
-        let tenant = {
-            let mut ready = self.ready.lock().expect("ready queue poisoned");
-            match ready.pop_front() {
-                Some(t) => t,
-                None => return Ok(None),
+        // A tenant deregistered while queued leaves a stale entry behind:
+        // skip to the next ready tenant. A loop, not recursion, so any
+        // number of stale entries costs constant stack.
+        let (tenant, slot) = loop {
+            let tenant = {
+                let mut ready = self.ready.lock().expect("ready queue poisoned");
+                match ready.pop_front() {
+                    Some(t) => t,
+                    None => return Ok(None),
+                }
+            };
+            match self.slot(&tenant) {
+                Ok(s) => break (tenant, s),
+                Err(ServiceError::UnknownTenant(_)) => continue,
+                Err(e) => return Err(e),
             }
-        };
-        // Deregistered while queued: skip to the next ready tenant.
-        let slot = match self.slot(&tenant) {
-            Ok(s) => s,
-            Err(ServiceError::UnknownTenant(_)) => return self.run_next_wave(),
-            Err(e) => return Err(e),
         };
         let tick = self.next_tick();
         let mut guard = slot.lock().expect("tenant slot poisoned");
@@ -639,6 +643,33 @@ mod tests {
             svc.inject("t0", elems(0..1)),
             Err(ServiceError::UnknownTenant(_))
         ));
+    }
+
+    #[test]
+    fn stale_queue_entries_are_skipped_in_constant_stack() {
+        // A finished tenant's name left in the ready queue is a stale
+        // entry. Skipping 10^5 of them recursively needs far more than a
+        // 64 KiB stack; the skip loop needs one frame.
+        let svc = ServiceRuntime::with_defaults();
+        let program = doubler();
+        svc.register("gone", &program, EngineConfig::default(), ElementBag::new())
+            .unwrap();
+        assert!(svc.inject("gone", elems(0..3)).unwrap().is_accepted());
+        svc.finish("gone").unwrap();
+        svc.ready
+            .lock()
+            .unwrap()
+            .extend(std::iter::repeat_n("gone".to_string(), 100_000));
+        let svc = Arc::new(svc);
+        let runtime = Arc::clone(&svc);
+        let outcome = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || runtime.run_next_wave().map(|r| r.is_none()))
+            .unwrap()
+            .join()
+            .expect("skipping stale entries must not overflow the stack");
+        assert!(matches!(outcome, Ok(true)), "{outcome:?}");
+        assert!(svc.ready.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -132,7 +132,12 @@ fn run_parallel_session(
 fn restored_seq_sessions_match_uninterrupted_finals() {
     for (name, program, initial) in &confluent_workloads() {
         let waves = split_waves(initial, 3);
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [
+            Scheduling::Rescan,
+            Scheduling::Delta,
+            Scheduling::Rete,
+            Scheduling::Auto,
+        ] {
             for selection in [Selection::Deterministic, Selection::Seeded(5)] {
                 let uninterrupted = run_seq_session(program, &waves, scheduling, selection, None);
                 assert_eq!(uninterrupted.status, Status::Stable, "{name}");
@@ -154,6 +159,77 @@ fn restored_seq_sessions_match_uninterrupted_finals() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// A session that starts empty has nothing to sample, so the default
+/// (`Scheduling::Auto`) starts the dense `minimum` fold on Rete; the
+/// first wave's guard counters then switch it to search at the wave
+/// boundary, while the selective sieve beside it stays on Rete. A
+/// snapshot taken after the switch carries the choice: the restored
+/// session resumes on the same matchers and reaches the uninterrupted
+/// run's final, with the exact deterministic trace.
+#[test]
+fn snapshot_after_a_matcher_switch_resumes_byte_identically() {
+    use gammaflow::gamma::{ElementSpec, Expr, Matcher, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::{BinOp, CmpOp};
+    let program = GammaProgram::new(vec![
+        ReactionSpec::new("min")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .where_(Expr::cmp(CmpOp::Lt, Expr::var("x"), Expr::var("y")))
+            .by(vec![ElementSpec::pair(Expr::var("x"), "n")]),
+        ReactionSpec::new("sieve")
+            .replace(Pattern::pair("x", "p"))
+            .replace(Pattern::pair("y", "p"))
+            .where_(Expr::cmp(
+                CmpOp::Eq,
+                Expr::bin(BinOp::Rem, Expr::var("x"), Expr::var("y")),
+                Expr::int(0),
+            ))
+            .by(vec![ElementSpec::pair(Expr::var("y"), "p")]),
+    ]);
+    let merged: ElementBag = (0..240)
+        .map(|i| Element::pair((i * 7919) % 1009 - 500, "n"))
+        .chain((2..=90).map(|v| Element::pair(v, "p")))
+        .collect();
+    let waves = split_waves(&merged, 3);
+    for selection in [Selection::Deterministic, Selection::Seeded(5)] {
+        let run = |interrupt: bool| {
+            let mut session = Session::build(&program)
+                .selection(selection)
+                .record_trace(true)
+                .start(ElementBag::new())
+                .expect("program compiles");
+            assert_eq!(
+                session.matchers(),
+                Some(vec![Matcher::Rete, Matcher::Rete]),
+                "nothing to sample in an empty bag"
+            );
+            for (i, wave) in waves.iter().enumerate() {
+                assert!(session.inject(wave.clone()).is_accepted());
+                assert_eq!(
+                    session.run_to_stable().expect("wave runs").status,
+                    Status::Stable
+                );
+                if i == 0 {
+                    assert_eq!(session.matcher_switches(), 1, "{selection:?}");
+                    if interrupt {
+                        let snap = roundtrip(session.snapshot_state());
+                        session = Session::restore(&program, snap).expect("restore succeeds");
+                    }
+                }
+            }
+            let matchers = session.matchers();
+            (session.finish(), matchers)
+        };
+        let (uninterrupted, matchers) = run(false);
+        let (restored, restored_matchers) = run(true);
+        assert_eq!(matchers, restored_matchers, "{selection:?}");
+        assert_eq!(restored.multiset, uninterrupted.multiset, "{selection:?}");
+        if selection == Selection::Deterministic {
+            assert_eq!(restored.trace, uninterrupted.trace);
         }
     }
 }
@@ -288,14 +364,16 @@ fn restore_rejects_version_and_program_mismatches() {
     assert!(matches!(err, ExecError::Snapshot(_)), "{err:?}");
 }
 
-/// The interned-arena storage era bumped the snapshot format to v3.
-/// Pre-arena (v2) captures are refused outright — their bag rows were
-/// written before hash-consing and re-interning them silently could mask
-/// a divergent layout — while a v3 capture round-trips to byte-identical
+/// The interned-arena storage era bumped the snapshot format to v3, and
+/// the per-reaction matcher choice to v4. Older captures are refused
+/// outright — pre-arena (v2) bag rows were written before hash-consing,
+/// and a v3 capture carries no matcher choice, so a restore would have
+/// to re-decide matchers from the bag instead of resuming on the
+/// captured ones — while a v4 capture round-trips to byte-identical
 /// finals: the bag still serialises portable `(element, count)` rows, so
 /// nothing arena-specific (no `ElemId`) ever reaches the wire.
 #[test]
-fn restore_refuses_pre_arena_v2_and_accepts_v3() {
+fn restore_refuses_pre_v4_and_accepts_v4() {
     for (name, program, initial) in &confluent_workloads() {
         let mut session = Session::build(program)
             .start(initial.clone())
@@ -303,17 +381,19 @@ fn restore_refuses_pre_arena_v2_and_accepts_v3() {
         session.run_to_stable().expect("wave runs");
         let reference = session.snapshot();
         let snap = session.snapshot_state();
-        assert_eq!(snap.version, 3, "{name}: interned-arena snapshots are v3");
+        assert_eq!(snap.version, 4, "{name}: matcher-choice snapshots are v4");
 
-        let mut pre_arena = snap.clone();
-        pre_arena.version = 2;
-        let Err(err) = Session::restore(program, pre_arena) else {
-            panic!("{name}: pre-arena v2 snapshot must be refused");
-        };
-        assert!(matches!(err, ExecError::Snapshot(_)), "{name}: {err:?}");
+        for old in [2, 3] {
+            let mut stale = snap.clone();
+            stale.version = old;
+            let Err(err) = Session::restore(program, stale) else {
+                panic!("{name}: v{old} snapshot must be refused");
+            };
+            assert!(matches!(err, ExecError::Snapshot(_)), "{name}: {err:?}");
+        }
 
         let mut restored =
-            Session::restore(program, snap).expect("v3 snapshot re-interns and restores");
+            Session::restore(program, snap).expect("v4 snapshot re-interns and restores");
         restored.run_to_stable().expect("restored wave runs");
         assert_eq!(restored.snapshot(), reference, "{name}");
     }
@@ -331,7 +411,12 @@ fn seq_budget_exhaustion_resumes_after_grant() {
         if reference.stats.firings_total() <= 5 {
             continue;
         }
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [
+            Scheduling::Rescan,
+            Scheduling::Delta,
+            Scheduling::Rete,
+            Scheduling::Auto,
+        ] {
             let mut session = Session::build(program)
                 .scheduling(scheduling)
                 .budget(5)
@@ -414,7 +499,12 @@ fn parallel_budget_exhaustion_resumes_after_grant() {
 #[test]
 fn restore_after_budget_exhaustion_finishes_to_the_same_final() {
     for (name, program, initial) in &confluent_workloads() {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [
+            Scheduling::Rescan,
+            Scheduling::Delta,
+            Scheduling::Rete,
+            Scheduling::Auto,
+        ] {
             let reference = {
                 let mut s = Session::build(program)
                     .scheduling(scheduling)

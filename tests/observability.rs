@@ -49,7 +49,12 @@ fn count_kind(records: &[TraceRecord], kind: &str) -> u64 {
 #[test]
 fn deterministic_seq_traces_are_byte_identical() {
     let w = divisor_sieve(40);
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [
+        Scheduling::Rescan,
+        Scheduling::Delta,
+        Scheduling::Rete,
+        Scheduling::Auto,
+    ] {
         let run = |path: &str| {
             let sink = JsonlSink::create(path).expect("trace file creates");
             let mut session = Session::build(&w.program)
@@ -126,7 +131,12 @@ fn firing_events_conserve_exec_stats_across_engines() {
     let w = cross_sum(32);
     let nreactions = w.program.reactions.len();
     let mut cells: Vec<(String, Engine, Scheduling)> = Vec::new();
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [
+        Scheduling::Rescan,
+        Scheduling::Delta,
+        Scheduling::Rete,
+        Scheduling::Auto,
+    ] {
         cells.push((format!("seq/{scheduling:?}"), Engine::Seq, scheduling));
     }
     let mut parallel: Vec<(String, Engine, usize)> = Vec::new();
@@ -439,4 +449,98 @@ fn metrics_render_json_and_prometheus() {
     assert!(prom.contains(&format!("gamma_firings_total {fired}")));
     assert!(prom.contains("gamma_par_deltas_published_total"));
     assert!(prom.contains("reaction="));
+}
+
+// ------------------------------------------------------ matcher choice ----
+
+/// The default's per-reaction matcher choice is observable: each
+/// `plan_explained` event names the reaction's matcher and the pass rate
+/// behind it, `metrics()` exports a per-reaction `gamma_reaction_matcher`
+/// gauge (0 = rete, 1 = search) and `gamma_matcher_switches_total`, and a
+/// session served by both matchers reports both counter sets, each
+/// counting only the reactions it serves.
+#[test]
+fn matcher_choice_is_observable() {
+    use gammaflow::gamma::{ElementSpec, Expr, GammaProgram, Matcher, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::{BinOp, CmpOp};
+    use gammaflow::multiset::{Element, ElementBag};
+    let program = GammaProgram::new(vec![
+        ReactionSpec::new("fold")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .by(vec![ElementSpec::pair(
+                Expr::bin(BinOp::Add, Expr::var("x"), Expr::var("y")),
+                "n",
+            )]),
+        ReactionSpec::new("sieve")
+            .replace(Pattern::pair("x", "p"))
+            .replace(Pattern::pair("y", "p"))
+            .where_(Expr::cmp(
+                CmpOp::Eq,
+                Expr::bin(BinOp::Rem, Expr::var("x"), Expr::var("y")),
+                Expr::int(0),
+            ))
+            .by(vec![ElementSpec::pair(Expr::var("y"), "p")]),
+    ]);
+    let initial: ElementBag = (1..=200)
+        .map(|v| Element::pair(v, "n"))
+        .chain((2..=200).map(|v| Element::pair(v, "p")))
+        .collect();
+    let ring = big_ring();
+    let mut session = Session::build(&program)
+        .trace_sink(ring.clone())
+        .start(initial)
+        .expect("program compiles");
+    assert_eq!(
+        session.matchers(),
+        Some(vec![Matcher::Search, Matcher::Rete])
+    );
+    let built_plan = session.explain_plan(1);
+    session.run_to_stable().expect("wave runs");
+
+    let plans: Vec<(String, Option<f64>, String)> = ring
+        .records()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::PlanExplained {
+                matcher,
+                pass_rate,
+                plan,
+                ..
+            } => Some((matcher, pass_rate, plan)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(plans.len(), 2);
+    assert_eq!((plans[0].0.as_str(), plans[0].1), ("search", Some(1.0)));
+    assert!(plans[0]
+        .2
+        .contains("matcher: search (sampled pass rate 1.000)"));
+    let (matcher, rate, plan) = &plans[1];
+    assert_eq!(matcher, "rete");
+    assert!(rate.is_some_and(|p| p < 0.1), "sieve pass rate {rate:?}");
+    assert!(plan.contains("matcher: rete (sampled pass rate"));
+    assert_eq!(*plan, built_plan);
+
+    let prom = session.metrics().to_prometheus();
+    assert!(
+        prom.contains("gamma_reaction_matcher{reaction=\"fold\"} 1"),
+        "{prom}"
+    );
+    assert!(
+        prom.contains("gamma_reaction_matcher{reaction=\"sieve\"} 0"),
+        "{prom}"
+    );
+    assert!(prom.contains("gamma_matcher_switches_total 0"), "{prom}");
+
+    // Each matcher's counters cover its own reactions: the worklist
+    // searched the fold, the network built the sieve's tokens and
+    // evaluated its guards, and the fold evaluated none through it.
+    let sched = session.sched_stats().expect("the worklist serves the fold");
+    let rete = session.rete_stats().expect("the network serves the sieve");
+    assert!(sched.full_searches > 0);
+    assert!(rete.tokens_created > 0);
+    let rows = &session.profile().rows;
+    assert_eq!(rows[0].guard_evals, 0);
+    assert!(rows[1].guard_evals > 0);
 }

@@ -55,7 +55,7 @@ fn assert_trace_identical(program: &GammaProgram, initial: &ElementBag) {
         Selection::Deterministic,
         Scheduling::Rescan,
     );
-    for scheduling in [Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [Scheduling::Delta, Scheduling::Rete, Scheduling::Auto] {
         let engine = run_with(program, initial, Selection::Deterministic, scheduling);
         assert_eq!(rescan.status, engine.status, "{scheduling:?} status");
         assert_eq!(rescan.multiset, engine.multiset, "{scheduling:?} multiset");
@@ -80,7 +80,7 @@ fn assert_confluent_outcome(program: &GammaProgram, initial: &ElementBag, seed: 
         Scheduling::Rescan,
     );
     assert_eq!(rescan.status, Status::Stable);
-    for scheduling in [Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [Scheduling::Delta, Scheduling::Rete, Scheduling::Auto] {
         let engine = run_with(program, initial, Selection::Seeded(seed), scheduling);
         assert_eq!(engine.status, Status::Stable);
         assert_eq!(
@@ -177,20 +177,145 @@ fn join_workloads_agree_seeded() {
 }
 
 #[test]
-fn rete_is_the_default_scheduler() {
-    // End-to-end: the default configuration runs on the rete join
-    // network (with automatic spill) and computes the workloads'
-    // self-check references.
-    assert_eq!(Scheduling::default(), Scheduling::Rete);
+fn auto_is_the_default_scheduler() {
+    // End-to-end: the default configuration chooses a matcher per
+    // reaction and computes the workloads' self-check references, with
+    // both matchers' counters reported.
+    assert_eq!(Scheduling::default(), Scheduling::Auto);
     for w in [minimum(&[6, 1, 9]), sum(&[1, 2, 3, 4]), primes(60)] {
         let result = SeqInterpreter::with_seed(&w.program, w.initial.clone(), 3)
             .run()
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected, "workload {}", w.name);
-        let rete = result.rete.expect("rete scheduling is the default");
-        assert!(rete.tokens_created > 0);
+        assert!(result.rete.is_some(), "workload {}", w.name);
+        let sched = result.sched.expect("the default reports worklist stats");
+        assert!(sched.authoritative_confirms >= 1, "workload {}", w.name);
     }
+}
+
+/// A mixed program: a selective sieve (Rete), a dense fold (search) and
+/// a relabelling step (Rete) that feeds the fold from the sieve's
+/// leftovers, so firings cross between the matchers.
+fn mixed_program(n: i64) -> (GammaProgram, ElementBag) {
+    use gammaflow::gamma::{ElementSpec, Expr, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::{BinOp, CmpOp};
+    use gammaflow::multiset::Element;
+    let program = GammaProgram::new(vec![
+        ReactionSpec::new("sieve")
+            .replace(Pattern::pair("x", "p"))
+            .replace(Pattern::pair("y", "p"))
+            .where_(Expr::cmp(
+                CmpOp::Eq,
+                Expr::bin(BinOp::Rem, Expr::var("x"), Expr::var("y")),
+                Expr::int(0),
+            ))
+            .by(vec![
+                ElementSpec::pair(Expr::var("y"), "p"),
+                ElementSpec::pair(Expr::var("x"), "q"),
+            ]),
+        ReactionSpec::new("fold")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .by(vec![ElementSpec::pair(
+                Expr::bin(BinOp::Add, Expr::var("x"), Expr::var("y")),
+                "n",
+            )]),
+        ReactionSpec::new("feed")
+            .replace(Pattern::pair("x", "q"))
+            .by(vec![ElementSpec::pair(Expr::var("x"), "n")]),
+    ]);
+    let initial: ElementBag = (2..=n)
+        .map(|v| Element::pair(v, "p"))
+        .chain((1..=n).map(|v| Element::pair(v, "n")))
+        .collect();
+    (program, initial)
+}
+
+#[test]
+fn auto_serves_a_mixed_program_with_both_matchers() {
+    use gammaflow::gamma::{Matcher, Session};
+    let (program, initial) = mixed_program(200);
+    let session = Session::build(&program).start(initial.clone()).unwrap();
+    assert_eq!(
+        session.matchers(),
+        Some(vec![Matcher::Rete, Matcher::Search, Matcher::Rete]),
+        "sieve keeps Rete, the fold is searched, the arity-1 feed keeps Rete"
+    );
+    // Deterministic: the exact rescanning trace, across both matchers.
+    assert_trace_identical(&program, &initial);
+    let det = run_with(
+        &program,
+        &initial,
+        Selection::Deterministic,
+        Scheduling::Auto,
+    );
+    assert!(det.stats.firings_per_reaction.iter().all(|&f| f > 0));
+    // Seeded: byte-identical finals under every seed, and each matcher
+    // reports the counters of the reactions it serves.
+    for seed in 0..6 {
+        assert_confluent_outcome(&program, &initial, seed);
+    }
+    let seeded = run_with(&program, &initial, Selection::Seeded(1), Scheduling::Auto);
+    assert!(seeded.rete.expect("rete serves the sieve").tokens_created > 0);
+    assert!(seeded.sched.expect("search serves the fold").full_searches > 0);
+}
+
+#[test]
+fn auto_classifies_reactions_by_cost() {
+    use gammaflow::gamma::{Matcher, Session};
+    use gammaflow::workloads::windowed_sum;
+    let values: Vec<i64> = (0..512).map(|i| (i * 7919) % 100_003 - 50_000).collect();
+    let matchers = |program: &GammaProgram, initial: &ElementBag| {
+        Session::build(program)
+            .start(initial.clone())
+            .unwrap()
+            .matchers()
+            .unwrap()
+    };
+    let dense = [
+        sum(&values),
+        minimum(&values),
+        maximum(&values),
+        gcd(&(1..=64).map(|i| 6 * i).collect::<Vec<i64>>()),
+    ];
+    for w in &dense {
+        assert_eq!(
+            matchers(&w.program, &w.initial),
+            vec![Matcher::Search],
+            "{}: a dense fold is searched",
+            w.name
+        );
+    }
+    let intervals: Vec<(i64, i64)> = (0..300)
+        .map(|i| ((i * 37) % 9000, (i * 37) % 9000 + 10))
+        .collect();
+    let selective = [
+        primes(400),
+        divisor_sieve(400),
+        triangles(20, 10),
+        interval_merge(&intervals),
+    ];
+    for w in &selective {
+        assert_eq!(
+            matchers(&w.program, &w.initial),
+            vec![Matcher::Rete],
+            "{}: a selective join keeps Rete",
+            w.name
+        );
+    }
+    let stream = windowed_sum(2, 4, 4, 7);
+    assert_eq!(
+        matchers(&stream.program, &stream.initial),
+        vec![Matcher::Rete]
+    );
+    let dag = random_dag(5, &DagParams::default());
+    let conv = dataflow_to_gamma(&dag.graph).expect("conversion succeeds");
+    let m = matchers(&conv.program, &conv.initial);
+    assert!(
+        m.iter().all(|&m| m == Matcher::Rete),
+        "Algorithm 1 output is tag-keyed or unary: {m:?}"
+    );
 }
 
 #[test]
@@ -224,7 +349,12 @@ fn max_parallel_budget_counts_each_firing_once() {
     // firings. A budget of 20 must allow exactly 20 firings (the old
     // check double-counted the in-step firings and stopped at 10).
     let w = sum(&(1..=64).collect::<Vec<i64>>());
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [
+        Scheduling::Rescan,
+        Scheduling::Delta,
+        Scheduling::Rete,
+        Scheduling::Auto,
+    ] {
         let (result, _profile) = SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),

@@ -66,7 +66,12 @@ fn confluent_workloads() -> Vec<(String, GammaProgram, ElementBag)> {
 #[test]
 fn seq_session_waves_match_one_shot_finals() {
     for (name, program, initial) in &confluent_workloads() {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [
+            Scheduling::Rescan,
+            Scheduling::Delta,
+            Scheduling::Rete,
+            Scheduling::Auto,
+        ] {
             for selection in [Selection::Deterministic, Selection::Seeded(5)] {
                 let one_shot = SeqInterpreter::with_config(
                     program,
@@ -142,7 +147,12 @@ fn parallel_session_waves_match_one_shot_finals() {
 #[test]
 fn deterministic_one_wave_session_replays_interpreter_trace() {
     for (name, program, initial) in &confluent_workloads() {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [
+            Scheduling::Rescan,
+            Scheduling::Delta,
+            Scheduling::Rete,
+            Scheduling::Auto,
+        ] {
             let reference = SeqInterpreter::with_config(
                 program,
                 initial.clone(),
