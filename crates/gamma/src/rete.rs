@@ -1442,6 +1442,9 @@ impl ReteNetwork {
         compiled: &CompiledProgram,
         bag: &S,
     ) -> Option<usize> {
+        if !self.serves_any() {
+            return None;
+        }
         (0..self.nets.len()).find(|&r| self.has_match(compiled, bag, r))
     }
 
@@ -1471,6 +1474,9 @@ impl ReteNetwork {
         out: &mut Vec<usize>,
     ) {
         out.clear();
+        if !self.serves_any() {
+            return;
+        }
         for r in 0..self.nets.len() {
             if self.has_match(compiled, bag, r) {
                 out.push(r);

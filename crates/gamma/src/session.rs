@@ -539,9 +539,12 @@ impl SeqMatchers {
                 None => Ok(self.sched.confirm_stable(compiled, bag, None)?),
             };
         };
+        // Searching the worklist changes no memory, so the network's
+        // ready set holds for every draw of this call.
+        self.rete.ready_reactions(compiled, bag, &mut self.ready);
+        let ready = self.ready.len();
         loop {
-            self.rete.ready_reactions(compiled, bag, &mut self.ready);
-            let (ready, dirty) = (self.ready.len(), self.sched.dirty_len());
+            let dirty = self.sched.dirty_len();
             if ready + dirty == 0 {
                 return Ok(self.sched.confirm_stable(compiled, bag, Some(rng))?);
             }
