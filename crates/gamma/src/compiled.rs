@@ -17,9 +17,9 @@
 //! honest: given an RNG, every search level draws its candidates
 //! uniformly without replacement, so any fireable tuple can be selected —
 //! the paper's "reactions occur freely" — while remaining reproducible
-//! from the seed. The draw is lazy (a sparse Fisher–Yates shuffle): a
-//! level pays for the candidates it examines, not for copying and
-//! shuffling its whole bucket.
+//! from the seed. The draw is lazy (an incremental Fisher–Yates shuffle
+//! that stops with the search): a level pays for the candidates it
+//! examines, not for copying and shuffling its whole bucket.
 
 use crate::expr::{Env, EvalError, Expr};
 use crate::spec::{
