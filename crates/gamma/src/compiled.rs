@@ -335,7 +335,7 @@ pub(crate) struct LazyDraw {
 
 impl LazyDraw {
     /// Largest `n` whose permutation is held in full.
-    const DENSE_MAX: u32 = 64;
+    const DENSE_MAX: u32 = 256;
 
     /// Start a fresh draw over `0..n`.
     pub(crate) fn reset(&mut self, n: usize) {
@@ -2394,7 +2394,7 @@ mod tests {
         // swaps above) must draw exactly the permutation a complete
         // incremental Fisher–Yates shuffle makes from the same stream.
         let mut draw = LazyDraw::default();
-        for n in [1usize, 2, 17, 64, 65, 300] {
+        for n in [1usize, 2, 17, 256, 257, 600] {
             for seed in 0..16 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 draw.reset(n);
@@ -2412,8 +2412,8 @@ mod tests {
 
     #[test]
     fn lazy_row_draw_visits_every_live_row_once_and_never_a_tombstone() {
-        // 20 rows (a permutation held in full) and 128 (sparse swaps).
-        for (live, dead) in [(14, 6), (120, 8)] {
+        // 20 rows (a permutation held in full) and 308 (sparse swaps).
+        for (live, dead) in [(14, 6), (300, 8)] {
             let bag = tombstoned_bag(live, dead);
             let bucket = bag.bucket(Symbol::intern("n"), Tag(0)).unwrap();
             let live_rows: Vec<usize> = (0..bucket.row_len())
