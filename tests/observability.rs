@@ -544,3 +544,40 @@ fn matcher_choice_is_observable() {
     assert_eq!(rows[0].guard_evals, 0);
     assert!(rows[1].guard_evals > 0);
 }
+
+/// A wave-boundary switch is itemised in the trace: a session that
+/// starts empty keeps its dense fold on Rete until the first wave's
+/// guard counters move it to search, and exactly that switch appears as
+/// one `matcher_switched` event, matching `matcher_switches()` and the
+/// `gamma_matcher_switches_total` counter.
+#[test]
+fn matcher_switches_are_itemised_in_the_trace() {
+    use gammaflow::gamma::{ElementSpec, Expr, GammaProgram, Matcher, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::CmpOp;
+    use gammaflow::multiset::{Element, ElementBag};
+    let program = GammaProgram::new(vec![ReactionSpec::new("min")
+        .replace(Pattern::pair("x", "n"))
+        .replace(Pattern::pair("y", "n"))
+        .where_(Expr::cmp(CmpOp::Lt, Expr::var("x"), Expr::var("y")))
+        .by(vec![ElementSpec::pair(Expr::var("x"), "n")])]);
+    let ring = big_ring();
+    let mut session = Session::build(&program)
+        .trace_sink(ring.clone())
+        .start(ElementBag::new())
+        .expect("program compiles");
+    assert_eq!(session.matchers(), Some(vec![Matcher::Rete]));
+    for wave in 0..2 {
+        let _ = session.inject((0..100).map(|v| Element::pair(v * 7 % 101 + wave, "n")));
+        session.run_to_stable().expect("wave runs");
+    }
+    assert_eq!(session.matchers(), Some(vec![Matcher::Search]));
+    assert_eq!(session.matcher_switches(), 1);
+    let records = ring.records();
+    assert_eq!(count_kind(&records, "matcher_switched"), 1);
+    assert!(records.iter().any(|r| matches!(
+        &r.event,
+        TraceEvent::MatcherSwitched { to, pass_rate: Some(p), .. } if to == "search" && *p > 0.3
+    )));
+    let prom = session.metrics().to_prometheus();
+    assert!(prom.contains("gamma_matcher_switches_total 1"), "{prom}");
+}
