@@ -3,7 +3,7 @@
 //! Measures Algorithm 1 (dataflow → Gamma) and Algorithm 2's stitching
 //! (Gamma → dataflow) over random DAGs of growing size, plus both on the
 //! paper's own figures. The paper gives no conversion-cost numbers; the
-//! expectation (DESIGN.md E/P table) is near-linear growth in nodes+edges.
+//! expectation (harness step P4) is near-linear growth in nodes+edges.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gammaflow_bench::fixtures;

@@ -6,7 +6,7 @@
 //! limits speedup (matching is the bottleneck, not firing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gammaflow_gamma::{run_parallel, ParConfig, SeqInterpreter};
+use gammaflow_gamma::{run_parallel, EngineConfig, Selection, SeqInterpreter};
 use gammaflow_workloads::{primes, sum};
 
 fn bench_sum(c: &mut Criterion) {
@@ -26,10 +26,9 @@ fn bench_sum(c: &mut Criterion) {
                 run_parallel(
                     &w.program,
                     w.initial.clone(),
-                    &ParConfig {
-                        workers,
-                        seed: 1,
-                        ..ParConfig::default()
+                    &EngineConfig {
+                        selection: Selection::Seeded(1),
+                        ..EngineConfig::parallel(workers)
                     },
                 )
                 .unwrap()
@@ -56,10 +55,9 @@ fn bench_primes(c: &mut Criterion) {
                 run_parallel(
                     &w.program,
                     w.initial.clone(),
-                    &ParConfig {
-                        workers,
-                        seed: 1,
-                        ..ParConfig::default()
+                    &EngineConfig {
+                        selection: Selection::Seeded(1),
+                        ..EngineConfig::parallel(workers)
                     },
                 )
                 .unwrap()
@@ -71,7 +69,7 @@ fn bench_primes(c: &mut Criterion) {
 
 fn bench_selection_modes(c: &mut Criterion) {
     // Deterministic vs seeded selection overhead on the same workload.
-    use gammaflow_gamma::{ExecConfig, Selection};
+    use gammaflow_gamma::{EngineConfig, Selection};
     let mut group = c.benchmark_group("gamma_selection_mode_sum_256");
     group.sample_size(20);
     let w = sum(&(1..=256).collect::<Vec<_>>());
@@ -84,9 +82,9 @@ fn bench_selection_modes(c: &mut Criterion) {
                 SeqInterpreter::with_config(
                     &w.program,
                     w.initial.clone(),
-                    ExecConfig {
+                    EngineConfig {
                         selection,
-                        ..ExecConfig::default()
+                        ..EngineConfig::default()
                     },
                 )
                 .unwrap()

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gammaflow_bench::fixtures::{example1_family, example1_family_protected};
 use gammaflow_core::{dataflow_to_gamma, fuse_all};
-use gammaflow_gamma::{run_parallel, ParConfig, SeqInterpreter};
+use gammaflow_gamma::{run_parallel, EngineConfig, Selection, SeqInterpreter};
 
 fn bench_granularity(c: &mut Criterion) {
     for groups in [4usize, 16, 64] {
@@ -44,10 +44,9 @@ fn bench_granularity(c: &mut Criterion) {
                         run_parallel(
                             prog,
                             conv.initial.clone(),
-                            &ParConfig {
-                                workers: 4,
-                                seed: 1,
-                                ..ParConfig::default()
+                            &EngineConfig {
+                                selection: Selection::Seeded(1),
+                                ..EngineConfig::parallel(4)
                             },
                         )
                         .unwrap()

@@ -116,43 +116,11 @@ fn bench_arity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Indexed vs naive (flat-scan) matching on the same reaction and
-/// multiset — the data-structure ablation behind harness table P3.
-fn bench_naive_vs_indexed(c: &mut Criterion) {
-    use gammaflow_gamma::NaiveBag;
-    let r = CompiledReaction::compile(
-        &ReactionSpec::new("r")
-            .replace(Pattern::pair("a", "x"))
-            .replace(Pattern::pair("b", "y"))
-            .by(vec![ElementSpec::pair(
-                Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
-                "z",
-            )]),
-    )
-    .unwrap();
-    let mut group = c.benchmark_group("match_naive_vs_indexed");
-    for size in [100usize, 2_000] {
-        let elems: Vec<Element> = (0..size as i64)
-            .flat_map(|i| [Element::pair(i, "x"), Element::pair(i, "y")])
-            .collect();
-        let indexed: ElementBag = elems.iter().cloned().collect();
-        let naive = NaiveBag::from_iter(elems);
-        group.bench_with_input(BenchmarkId::new("indexed", size), &indexed, |b, bag| {
-            b.iter(|| r.find_match(0, bag, None).unwrap().unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("naive", size), &naive, |b, bag| {
-            b.iter(|| r.find_match(0, bag, None).unwrap().unwrap())
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_distinct_labels,
     bench_single_bucket,
     bench_tag_spread,
-    bench_arity,
-    bench_naive_vs_indexed
+    bench_arity
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gammaflow_core::dataflow_to_gamma;
-use gammaflow_gamma::{ExecConfig, GammaProgram, Scheduling, Selection, SeqInterpreter, Status};
+use gammaflow_gamma::{EngineConfig, GammaProgram, Scheduling, Selection, SeqInterpreter, Status};
 use gammaflow_multiset::ElementBag;
 use gammaflow_workloads::{parallel_loops, primes};
 
@@ -23,10 +23,10 @@ fn run(
     let result = SeqInterpreter::with_config(
         program,
         initial.clone(),
-        ExecConfig {
+        EngineConfig {
             selection,
             scheduling,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         },
     )
     .expect("program compiles")

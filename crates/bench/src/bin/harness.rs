@@ -1,5 +1,5 @@
-//! Experiment harness: regenerates every table/figure row from DESIGN.md's
-//! per-experiment index (E1–E6, P1–P5) plus the scheduler benchmarks
+//! Experiment harness: regenerates the paper experiments (E1–E6, P1–P5;
+//! see README "Quickstart") plus the scheduler benchmarks
 //! (S1 → `BENCH_scheduling.json`, S2/S3 → `BENCH_matching.json`,
 //! S4 → `BENCH_parallel.json`, S5 → `BENCH_streaming.json`,
 //! S6 → `BENCH_recovery.json`, S7 → `BENCH_observability.json`,
@@ -17,7 +17,8 @@
 //! `--features fault-inject` (otherwise it records the fault-free
 //! figures and marks the recovered series absent).
 //!
-//! The output of a release-mode run is recorded in EXPERIMENTS.md.
+//! README "Reading the committed `BENCH_*.json` baselines" explains the
+//! files the S steps rewrite.
 
 use gammaflow_bench::baseline::{read_baseline, warn_fps_regressions};
 use gammaflow_bench::fixtures::{example1_family, example1_family_protected, fig1, fig2};
@@ -27,7 +28,9 @@ use gammaflow_core::{
 };
 use gammaflow_dataflow::engine::SeqEngine;
 use gammaflow_dataflow::engine_par::{run_parallel as df_parallel, ParEngineConfig};
-use gammaflow_gamma::{run_parallel as gm_parallel, ParConfig, SeqInterpreter};
+use gammaflow_gamma::{
+    run_parallel as gm_parallel, Engine, EngineConfig, Selection, SeqInterpreter,
+};
 use gammaflow_lang::{parse_program, parse_reaction, pretty_program, pretty_reaction};
 use gammaflow_multiset::{Element, ElementBag};
 use gammaflow_workloads::{
@@ -252,7 +255,7 @@ fn m1() {
         "M1",
         "Trace reuse (the paper's motivating application, ref. [3])",
     );
-    use gammaflow_gamma::{analyze_reuse, ExecConfig, Selection};
+    use gammaflow_gamma::{analyze_reuse, EngineConfig, Selection};
     // The Fig. 2 loop re-fires several nodes with identical values every
     // iteration (y's steer, the control distribution): measure how much a
     // DF-DTM-style memo table would save, per reaction, for growing z.
@@ -263,10 +266,10 @@ fn m1() {
     for z in [4i64, 16, 64] {
         let g = fig2(5, z, 10);
         let conv = dataflow_to_gamma(&g).unwrap();
-        let config = ExecConfig {
+        let config = EngineConfig {
             record_trace: true,
             selection: Selection::Seeded(1),
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         };
         let result = SeqInterpreter::with_config(&conv.program, conv.initial.clone(), config)
             .unwrap()
@@ -284,10 +287,10 @@ fn m1() {
     println!("top reusable reactions at z = 64:");
     let g = fig2(5, 64, 10);
     let conv = dataflow_to_gamma(&g).unwrap();
-    let config = ExecConfig {
+    let config = EngineConfig {
         record_trace: true,
         selection: Selection::Seeded(1),
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let result = SeqInterpreter::with_config(&conv.program, conv.initial.clone(), config)
         .unwrap()
@@ -335,10 +338,9 @@ fn p1() {
                 gm_parallel(
                     &prog,
                     init.clone(),
-                    &ParConfig {
-                        workers: 4,
-                        seed: 1,
-                        ..ParConfig::default()
+                    &EngineConfig {
+                        selection: Selection::Seeded(1),
+                        ..EngineConfig::parallel(4)
                     },
                 )
                 .unwrap()
@@ -415,10 +417,9 @@ fn p3() {
                 gm_parallel(
                     &w.program,
                     w.initial.clone(),
-                    &ParConfig {
-                        workers,
-                        seed: 1,
-                        ..ParConfig::default()
+                    &EngineConfig {
+                        selection: Selection::Seeded(1),
+                        ..EngineConfig::parallel(workers)
                     },
                 )
                 .unwrap()
@@ -428,44 +429,6 @@ fn p3() {
         println!("{row}");
     }
     println!("(expected shape: associative sum scales; single-bucket sieve is match-bound)");
-
-    // Matching-strategy ablation: the same programs on an unindexed bag.
-    println!("\nmatching ablation (deterministic schedule):");
-    println!(
-        "{:<14} {:>14} {:>14} {:>8}",
-        "workload", "indexed ms", "naive ms", "ratio"
-    );
-    use gammaflow_gamma::run_naive;
-    use gammaflow_gamma::{ExecConfig, Selection};
-    let sum_small = sum(&(1..=192).collect::<Vec<_>>());
-    let primes_small = primes(96);
-    for (name, w) in [("sum_192", &sum_small), ("primes_96", &primes_small)] {
-        let t_indexed = time_median(3, || {
-            SeqInterpreter::with_config(
-                &w.program,
-                w.initial.clone(),
-                ExecConfig {
-                    selection: Selection::Deterministic,
-                    ..ExecConfig::default()
-                },
-            )
-            .unwrap()
-            .run()
-            .unwrap()
-        });
-        let t_naive = time_median(3, || {
-            run_naive(&w.program, w.initial.clone(), u64::MAX).unwrap()
-        });
-        println!(
-            "{:<14} {:>14.3} {:>14.3} {:>8.1}x",
-            name,
-            t_indexed,
-            t_naive,
-            t_naive / t_indexed.max(1e-9)
-        );
-    }
-    println!("(expected shape: the (label,tag) index wins on labelled programs; on the");
-    println!(" single-label sieve both degrade to bucket scans)");
 }
 
 fn p4() {
@@ -542,7 +505,7 @@ struct SchedulingRow {
 /// machine-readable `BENCH_scheduling.json` so the perf trajectory is
 /// tracked across PRs.
 fn s1() {
-    use gammaflow_gamma::{ExecConfig, Scheduling, Selection, Status};
+    use gammaflow_gamma::{EngineConfig, Scheduling, Selection, Status};
     banner(
         "S1",
         "Delta-driven reaction scheduling vs rescanning baseline",
@@ -557,10 +520,10 @@ fn s1() {
         let result = SeqInterpreter::with_config(
             program,
             initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection,
                 scheduling,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program compiles")
@@ -745,17 +708,17 @@ fn matching_row(
     w: &gammaflow_workloads::Workload,
     selection: gammaflow_gamma::Selection,
 ) -> MatchingRow {
-    use gammaflow_gamma::{ExecConfig, ExecResult, Scheduling, Selection, Status};
+    use gammaflow_gamma::{EngineConfig, ExecResult, Scheduling, Selection, Status};
 
     let time_engine = |scheduling: Scheduling| -> (f64, ExecResult) {
         let t = Instant::now();
         let result = SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection,
                 scheduling,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program compiles")
@@ -998,7 +961,7 @@ fn parallel_fps_series(rows: &[ParallelRow]) -> Vec<(String, f64)> {
 /// token counts are recorded so the per-shard watermark bound is part of
 /// the committed evidence. Results go to `BENCH_parallel.json`.
 fn s4() {
-    use gammaflow_gamma::{ExecConfig, ParEngine, Selection, Status};
+    use gammaflow_gamma::{EngineConfig, ParEngine, Selection, Status};
     banner("S4", "Sharded-rete parallel engine vs probe-retry baseline");
 
     // The headline workload: 16 independent Fig. 2 loops (tags advance
@@ -1024,9 +987,9 @@ fn s4() {
         let reference = SeqInterpreter::with_config(
             program,
             initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Deterministic,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program compiles")
@@ -1037,11 +1000,11 @@ fn s4() {
         for workers in [1usize, 2, 4, 8] {
             let mut engine_rows: Vec<(EngineRow, u64)> = Vec::new();
             for engine in [ParEngine::ProbeRetry, ParEngine::ShardedRete] {
-                let config = ParConfig {
+                let config = EngineConfig {
                     workers,
-                    seed: 1,
-                    engine,
-                    ..ParConfig::default()
+                    selection: Selection::Seeded(1),
+                    engine: Engine::Parallel(engine),
+                    ..EngineConfig::default()
                 };
                 let mut firings = 0u64;
                 let mut peak = 0u64;
@@ -1164,7 +1127,7 @@ fn streaming_fps_series(rows: &[StreamingRow]) -> Vec<(String, f64)> {
 /// workload's self-check multiset). Results go to
 /// `BENCH_streaming.json`.
 fn s5() {
-    use gammaflow_gamma::{ExecConfig, Selection, Session, Status};
+    use gammaflow_gamma::{EngineConfig, Selection, Session, Status};
     use gammaflow_workloads::windowed_sum;
     banner("S5", "Streaming sessions: wave-resume vs rebuild-per-wave");
 
@@ -1203,9 +1166,9 @@ fn s5() {
         let result = SeqInterpreter::with_config(
             &w.program,
             bag,
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Seeded(1),
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program compiles")
@@ -1788,22 +1751,19 @@ fn s7() {
 
 // ------------------------------------------------------------------ S8 ----
 
-/// One workload's three-way guard-dispatch comparison in BENCH_vm.json:
-/// the same two-wave session driven with tree-walk guards, baseline
-/// bytecode (tiering disabled), and profile-driven tiering (threshold 1,
-/// so every profiled reaction re-compiles at the first wave boundary and
-/// the bulk wave runs at the optimised tier).
+/// One workload's guard-dispatch comparison in BENCH_vm.json: the same
+/// two-wave session driven with baseline bytecode (tiering disabled) and
+/// with profile-driven tiering (threshold 1, so every profiled reaction
+/// re-compiles at the first wave boundary and the bulk wave runs at the
+/// optimised tier).
 #[derive(serde::Serialize, serde::Deserialize)]
 struct VmRow {
     workload: String,
     firings: u64,
     guard_evals: u64,
-    tree: EngineRow,
     vm: EngineRow,
     tiered: EngineRow,
-    vm_speedup_vs_tree: f64,
-    tiered_speedup_vs_tree: f64,
-    tree_guard_evals_per_sec: f64,
+    tiered_speedup_vs_vm: f64,
     vm_guard_evals_per_sec: f64,
     tiered_guard_evals_per_sec: f64,
     tier_ups: u64,
@@ -1821,7 +1781,6 @@ fn vm_fps_series(rows: &[VmRow]) -> Vec<(String, f64)> {
     rows.iter()
         .flat_map(|r| {
             [
-                (format!("{}/tree", r.workload), r.tree.firings_per_sec),
                 (format!("{}/vm", r.workload), r.vm.firings_per_sec),
                 (format!("{}/tiered", r.workload), r.tiered.firings_per_sec),
             ]
@@ -1829,25 +1788,24 @@ fn vm_fps_series(rows: &[VmRow]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// S8: guard-dispatch cost — the `Expr` tree walk vs the baseline
-/// bytecode VM vs profile-driven tiered re-compilation, on the
-/// guard-heavy workloads (the sieves spend most of their matcher time
-/// in guard conjuncts; the n² cross product stresses the Rete pushdown
-/// chunks). Each series drives the identical two-wave schedule — an
-/// eighth of the bag first, then the rest — so the tiered run crosses
-/// its threshold at the first wave boundary and executes the bulk wave
-/// at the optimised tier. Every run must land on the workload's
-/// self-check multiset with a mode-independent firing count. Results go
-/// to `BENCH_vm.json`.
+/// S8: guard-dispatch cost — the baseline bytecode VM vs profile-driven
+/// tiered re-compilation, on the guard-heavy workloads (the sieves
+/// spend most of their matcher time in guard conjuncts; the n² cross
+/// product stresses the Rete pushdown chunks). Each series drives the
+/// identical two-wave schedule — an eighth of the bag first, then the
+/// rest — so the tiered run crosses its threshold at the first wave
+/// boundary and executes the bulk wave at the optimised tier. Every run
+/// must land on the workload's self-check multiset with a
+/// tier-independent firing count. Results go to `BENCH_vm.json`.
 fn s8() {
-    use gammaflow_gamma::{GuardEvalMode, Scheduling, Selection, Session, Status};
+    use gammaflow_gamma::{Scheduling, Selection, Session, Status};
     use gammaflow_workloads::{cross_sum, divisor_sieve, Workload};
-    banner("S8", "Guard VM: tree-walk vs bytecode vs tiered re-compile");
+    banner("S8", "Guard VM: baseline bytecode vs tiered re-compile");
 
     let workloads: Vec<Workload> = vec![primes(2_000), divisor_sieve(2_000), cross_sum(400)];
     println!(
-        "{:<20} {:>9} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8}",
-        "workload", "firings", "guards", "tree f/s", "vm f/s", "tiered f/s", "vm x", "tier x"
+        "{:<20} {:>9} {:>11} {:>11} {:>11} {:>8}",
+        "workload", "firings", "guards", "vm f/s", "tiered f/s", "tier x"
     );
 
     let mut rows = Vec::new();
@@ -1857,12 +1815,11 @@ fn s8() {
         let elements = w.initial.sorted_elements();
         let (head, tail) = elements.split_at((elements.len() / 8).max(1));
 
-        let drive = |mode: GuardEvalMode, threshold: u64| -> (f64, u64, u64, u64) {
+        let drive = |threshold: u64| -> (f64, u64, u64, u64) {
             let t = Instant::now();
             let mut session = Session::build(&w.program)
                 .scheduling(Scheduling::Rete)
                 .selection(Selection::Seeded(1))
-                .guard_eval(mode)
                 .vm_tier_threshold(threshold)
                 .start(ElementBag::new())
                 .expect("program compiles");
@@ -1885,11 +1842,11 @@ fn s8() {
 
         // Median of three drives per series; the counters are identical
         // across repeats (same seed, same schedule), so keep the last.
-        let series = |mode: GuardEvalMode, threshold: u64| -> (f64, u64, u64, u64) {
+        let series = |threshold: u64| -> (f64, u64, u64, u64) {
             let mut secs = Vec::new();
             let mut counts = (0u64, 0u64, 0u64);
             for _ in 0..3 {
-                let (s, firings, guards, tier_ups) = drive(mode, threshold);
+                let (s, firings, guards, tier_ups) = drive(threshold);
                 secs.push(s);
                 counts = (firings, guards, tier_ups);
             }
@@ -1897,52 +1854,43 @@ fn s8() {
             (secs[secs.len() / 2], counts.0, counts.1, counts.2)
         };
 
-        let (tree_s, firings, guard_evals, tree_tier_ups) = series(GuardEvalMode::Tree, 1);
-        let (vm_s, vm_firings, vm_guards, vm_tier_ups) = series(GuardEvalMode::Vm, u64::MAX);
-        let (tiered_s, tiered_firings, tiered_guards, tier_ups) = series(GuardEvalMode::Vm, 1);
-        assert_eq!(tree_tier_ups, 0, "{}: tree mode must never tier", w.name);
+        let (vm_s, firings, guard_evals, vm_tier_ups) = series(u64::MAX);
+        let (tiered_s, tiered_firings, tiered_guards, tier_ups) = series(1);
         assert_eq!(vm_tier_ups, 0, "{}: threshold MAX must never tier", w.name);
         assert!(tier_ups > 0, "{}: threshold 1 must tier up", w.name);
         assert_eq!(
-            vm_firings, firings,
-            "{}: firings are mode-independent",
+            tiered_firings, firings,
+            "{}: firings are tier-independent",
             w.name
         );
-        assert_eq!(tiered_firings, firings, "{}", w.name);
         assert_eq!(
-            vm_guards, guard_evals,
-            "{}: guard counters conserve",
+            tiered_guards, guard_evals,
+            "{}: guard counters conserve across tiers",
             w.name
         );
-        assert_eq!(tiered_guards, guard_evals, "{}", w.name);
 
         let row = |secs: f64| EngineRow {
             seconds: secs,
             firings,
             firings_per_sec: firings as f64 / secs,
         };
-        let (tree, vm, tiered) = (row(tree_s), row(vm_s), row(tiered_s));
+        let (vm, tiered) = (row(vm_s), row(tiered_s));
         println!(
-            "{:<20} {:>9} {:>11} {:>11.0} {:>11.0} {:>11.0} {:>7.2}x {:>7.2}x",
+            "{:<20} {:>9} {:>11} {:>11.0} {:>11.0} {:>7.2}x",
             w.name,
             firings,
             guard_evals,
-            tree.firings_per_sec,
             vm.firings_per_sec,
             tiered.firings_per_sec,
-            vm.firings_per_sec / tree.firings_per_sec,
-            tiered.firings_per_sec / tree.firings_per_sec,
+            tiered.firings_per_sec / vm.firings_per_sec,
         );
         rows.push(VmRow {
             workload: w.name.to_string(),
             firings,
             guard_evals,
-            vm_speedup_vs_tree: vm.firings_per_sec / tree.firings_per_sec,
-            tiered_speedup_vs_tree: tiered.firings_per_sec / tree.firings_per_sec,
-            tree_guard_evals_per_sec: guard_evals as f64 / tree_s,
+            tiered_speedup_vs_vm: tiered.firings_per_sec / vm.firings_per_sec,
             vm_guard_evals_per_sec: guard_evals as f64 / vm_s,
             tiered_guard_evals_per_sec: guard_evals as f64 / tiered_s,
-            tree,
             vm,
             tiered,
             tier_ups,
@@ -2392,9 +2340,10 @@ fn percentile_us(latencies: &mut [f64], p: f64) -> f64 {
 /// per wave) is driven three ways:
 ///
 /// * `parked_pool`    — `gammad` service, waves lease workers from the
-///   process-wide parked pool (the default dispatch);
-/// * `spawn_per_wave` — the same service, every wave spawns fresh
-///   scoped threads (the historical behaviour);
+///   process-wide parked pool (the default);
+/// * `spawn_per_wave` — the same service on a zero-size pool, which
+///   refuses every lease, so every wave spawns fresh scoped threads
+///   (the historical behaviour);
 /// * `thread_per_session` — no service: one OS thread per session for
 ///   its whole life, spawn-per-wave inside (the classic
 ///   architecture the service replaces).
@@ -2408,7 +2357,7 @@ fn percentile_us(latencies: &mut [f64], p: f64) -> f64 {
 fn s10() {
     use gammaflow_gamma::{
         ElementSpec, Engine, EngineConfig, Expr, GammaProgram, ParEngine, Pattern, ReactionSpec,
-        Session, Status, WaveDispatch, WorkerPool,
+        Session, Status, WorkerPool,
     };
     use gammaflow_multiset::value::BinOp;
     use gammaflow_service::{ServiceConfig, ServiceRuntime};
@@ -2465,13 +2414,15 @@ fn s10() {
     let total_waves = (sessions * waves_per_session) as u64;
     let mut rows: Vec<ServiceRow> = Vec::new();
 
-    // The two service-driven strategies differ only in wave dispatch.
-    for (strategy, dispatch) in [
-        ("parked_pool", WaveDispatch::default()),
-        ("spawn_per_wave", WaveDispatch::SpawnPerWave),
+    // The two service-driven strategies differ only in the worker pool
+    // (the recorded lease counters are the global pool's).
+    let spawn_pool = WorkerPool::new(0);
+    for (strategy, pool) in [
+        ("parked_pool", std::sync::Arc::clone(WorkerPool::global())),
+        ("spawn_per_wave", std::sync::Arc::clone(&spawn_pool)),
     ] {
         let svc = ServiceRuntime::new(ServiceConfig {
-            dispatch,
+            pool,
             ..ServiceConfig::default()
         })
         .expect("no trace file configured");
@@ -2547,10 +2498,11 @@ fn s10() {
                 let identical = &identical;
                 let program = &program;
                 let reference = &reference;
+                let spawn_pool = &spawn_pool;
                 scope.spawn(move || {
                     let mut session = Session::build(program)
                         .config(par_config())
-                        .wave_dispatch(WaveDispatch::SpawnPerWave)
+                        .worker_pool(std::sync::Arc::clone(spawn_pool))
                         .start(ElementBag::new())
                         .expect("program compiles");
                     let mut local = Vec::with_capacity(waves_per_session);
@@ -2716,8 +2668,5 @@ fn main() {
     if want("S10") {
         s10();
     }
-    println!(
-        "\nharness complete in {:.1?} — record release-mode output in EXPERIMENTS.md",
-        t0.elapsed()
-    );
+    println!("\nharness complete in {:.1?}", t0.elapsed());
 }

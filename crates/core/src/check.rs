@@ -17,10 +17,11 @@
 //! (this is exactly what the property tests hunt for).
 
 use crate::df_to_gamma::{dataflow_to_gamma, ConvertError};
-use gammaflow_dataflow::engine::{EngineConfig, EngineError, SeqEngine};
+use gammaflow_dataflow::engine::{EngineConfig as DfConfig, EngineError, SeqEngine};
 use gammaflow_dataflow::graph::DataflowGraph;
-use gammaflow_gamma::parallel::{run_parallel, ParConfig};
-use gammaflow_gamma::seq::{ExecConfig, ExecError, Selection, SeqInterpreter, Status};
+use gammaflow_gamma::parallel::run_parallel;
+use gammaflow_gamma::seq::{ExecError, Selection, SeqInterpreter, Status};
+use gammaflow_gamma::session::EngineConfig;
 use gammaflow_multiset::{ElementBag, FxHashSet, Symbol};
 use std::fmt;
 
@@ -112,7 +113,7 @@ pub fn check_equivalence(
 ) -> Result<EquivReport, CheckError> {
     let df = SeqEngine::with_config(
         graph,
-        EngineConfig {
+        DfConfig {
             max_firings: config.max_firings,
             record_trace: false,
         },
@@ -132,11 +133,11 @@ pub fn check_equivalence(
         let result = SeqInterpreter::with_config(
             &conv.program,
             conv.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 max_steps: config.max_firings,
                 record_trace: false,
                 selection: Selection::Seeded(seed),
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )?
         .run()?;
@@ -160,10 +161,9 @@ pub fn check_equivalence(
         let par = run_parallel(
             &conv.program,
             conv.initial.clone(),
-            &ParConfig {
-                workers: config.parallel_workers,
-                max_firings: config.max_firings,
-                ..ParConfig::default()
+            &EngineConfig {
+                max_steps: config.max_firings,
+                ..EngineConfig::parallel(config.parallel_workers)
             },
         )?;
         if par.exec.status != Status::Stable {

@@ -1,7 +1,8 @@
 //! Algorithm 1: converting a dynamic dataflow graph into a Gamma program.
 //!
-//! Following §III-B of the paper (as corrected by its worked examples —
-//! see DESIGN.md §3 on edge vs node labels):
+//! Following §III-B of the paper, as corrected by its worked examples,
+//! which label elements by the edge a token travels on, not by node
+//! (README "The paper, in two paragraphs"):
 //!
 //! * every **edge** label becomes a multiset-element label;
 //! * **root (constant) nodes** seed the initial multiset with one element

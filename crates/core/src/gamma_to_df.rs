@@ -20,7 +20,7 @@
 //!   unconsumed labels becoming output sinks. This is the exact inverse of
 //!   Algorithm 1, giving the round-trip tests their teeth.
 //!
-//! Known scope limits (shared with the paper, documented in DESIGN.md):
+//! Known scope limits (shared with the paper):
 //! `where` conditions, clause chains beyond `if`/`else`, and variable
 //! output labels have no static-dataflow counterpart and are rejected; a
 //! consumed-but-unused operand loses its synchronisation role (recorded in
@@ -264,7 +264,7 @@ pub struct SubgraphPorts {
     /// Produced labels with their source `(node, out-port)`.
     pub outputs: Vec<(Symbol, NodeId, OutPort)>,
     /// Pattern indices whose value gates firing in Gamma but has no
-    /// dataflow consumer (a pure-synchronisation operand; see DESIGN.md).
+    /// dataflow consumer (a pure-synchronisation operand).
     pub unused_inputs: Vec<usize>,
     /// The recovered shape.
     pub shape: Shape,

@@ -7,7 +7,7 @@
 //! builder assigns fresh labels automatically and lets callers override
 //! them to reproduce the paper's figures verbatim.
 //!
-//! Structural conventions (DESIGN.md §3):
+//! Structural conventions:
 //!
 //! * a node has one *logical* output port (steer has two: true=0, false=1);
 //!   fan-out is multiple edges from the same port, each with its own label;

@@ -18,7 +18,7 @@
 //! *tag epoch* analysis that rejects programs whose tokens could never
 //! tag-match at runtime (see [`codegen`] docs).
 //!
-//! Deliberate limits, documented in DESIGN.md: a single `int` type, no
+//! Deliberate limits: a single `int` type, no
 //! nested loops (those need TALM-style call tags, beyond the paper's node
 //! set), and loop/if conditions must be comparisons.
 //!

@@ -21,38 +21,28 @@
 //! that stops with the search): a level pays for the candidates it
 //! examines, not for copying and shuffling its whole bucket.
 
-use crate::expr::{Env, EvalError, Expr};
+use crate::expr::{EvalError, Expr};
 use crate::spec::{
     ByClause, ElementSpec, GammaProgram, Guard, LabelPat, LabelSpec, Pattern, ReactionSpec,
-    SpecError, TagPat, TagSpec, ValuePat,
+    SpecError, TagPat, ValuePat,
 };
-use crate::vm::{ClauseGuardChunk, GuardEvalMode, OutputChunks, ReactionVm, Tier};
+use crate::vm::{ClauseGuardChunk, OutputChunks, ReactionVm, Tier};
 use gammaflow_multiset::{ElemId, Element, ElementBag, FxHashMap, Symbol, Tag, Value, ValueBucket};
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
-/// Variable bindings as value slots; implements [`Env`] for expression
-/// evaluation. Label variables bind as strings, tag variables as integers —
+/// Variable bindings as value slots, indexed by the reaction's variable
+/// table. Label variables bind as strings, tag variables as integers —
 /// exactly the observable fields the paper's conditions inspect.
 #[derive(Debug, Clone)]
-pub struct Bindings<'a> {
+pub struct Bindings {
     slots: Vec<Option<Value>>,
-    index: &'a FxHashMap<Symbol, u16>,
 }
 
-impl Env for Bindings<'_> {
-    fn lookup(&self, var: Symbol) -> Option<Value> {
-        self.index
-            .get(&var)
-            .and_then(|&i| self.slots[i as usize].clone())
-    }
-}
-
-impl<'a> Bindings<'a> {
-    fn new(nvars: usize, index: &'a FxHashMap<Symbol, u16>) -> Self {
+impl Bindings {
+    fn new(nvars: usize) -> Self {
         Bindings {
             slots: vec![None; nvars],
-            index,
         }
     }
 
@@ -669,17 +659,6 @@ impl CompiledReaction {
         Ok(cr)
     }
 
-    /// The guard/action evaluation mode this reaction dispatches under.
-    pub fn guard_eval_mode(&self) -> GuardEvalMode {
-        self.vm.mode()
-    }
-
-    /// Set the evaluation mode (the session stamps its configured mode
-    /// onto every reaction before building matcher state).
-    pub fn set_guard_eval_mode(&mut self, mode: GuardEvalMode) {
-        self.vm.set_mode(mode);
-    }
-
     /// The reaction's current VM tier.
     pub fn vm_tier(&self) -> Tier {
         self.vm.tier()
@@ -717,11 +696,6 @@ impl CompiledReaction {
     /// [`Self::positions`]); the rete network joins in this order.
     pub(crate) fn join_order(&self) -> &[usize] {
         &self.order
-    }
-
-    /// The variable table mapping symbols to binding slots.
-    pub(crate) fn var_index(&self) -> &FxHashMap<Symbol, u16> {
-        &self.var_index
     }
 
     /// Number of binding slots.
@@ -820,7 +794,7 @@ impl CompiledReaction {
             let _ = writeln!(out, "  terminal: some of [{}]", guards.join(", "));
         }
         // Disassembly of the active tier's guard chunks — what actually
-        // dispatches when the VM mode is on.
+        // dispatches.
         let cs = self.vm.active();
         let _ = writeln!(out, "  bytecode ({:?} tier):", self.vm.tier());
         let mut section = |title: String, chunk: &crate::vm::Chunk| {
@@ -863,7 +837,6 @@ impl CompiledReaction {
     ) -> Result<Option<(usize, Vec<Element>)>, MatchError> {
         let bindings = Bindings {
             slots: slots.to_vec(),
-            index: &self.var_index,
         };
         self.outputs_for(&bindings)
     }
@@ -963,22 +936,10 @@ impl CompiledReaction {
 
     /// Full-tuple acceptance: `where` condition plus some enabled clause.
     /// Condition evaluation errors mean "not enabled".
-    fn accept(&self, bindings: &Bindings<'_>) -> bool {
-        match self.vm.mode() {
-            GuardEvalMode::Vm => {
-                let cs = self.vm.active();
-                if let Some(w) = &cs.where_full {
-                    if !w.eval_guard(&bindings.slots, &[]) {
-                        return false;
-                    }
-                }
-            }
-            GuardEvalMode::Tree => {
-                if let Some(w) = &self.spec.where_cond {
-                    if !w.eval_bool(bindings).unwrap_or(false) {
-                        return false;
-                    }
-                }
+    fn accept(&self, bindings: &Bindings) -> bool {
+        if let Some(w) = &self.vm.active().where_full {
+            if !w.eval_guard(&bindings.slots, &[]) {
+                return false;
             }
         }
         self.enabled_clause(bindings).is_some()
@@ -993,7 +954,7 @@ impl CompiledReaction {
         label: Symbol,
         tag: Tag,
         value: &Value,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
     ) -> Option<([u16; 3], usize)> {
         let mut fresh = [0u16; 3];
         let mut nfresh = 0;
@@ -1035,7 +996,7 @@ impl CompiledReaction {
         depth: usize,
         order: &[usize],
         bag: &S,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
         consumed: &mut [Option<Element>],
     ) -> bool {
         if depth == order.len() {
@@ -1068,7 +1029,7 @@ impl CompiledReaction {
         order: &[usize],
         label: Symbol,
         bag: &S,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
         consumed: &mut [Option<Element>],
     ) -> bool {
         let pat = &self.positions[order[depth]];
@@ -1096,7 +1057,7 @@ impl CompiledReaction {
         label: Symbol,
         tag: Tag,
         bag: &S,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
         consumed: &mut [Option<Element>],
     ) -> bool {
         let pat = &self.positions[order[depth]];
@@ -1138,7 +1099,7 @@ impl CompiledReaction {
         value: &Value,
         available: usize,
         bag: &S,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
         consumed: &mut [Option<Element>],
     ) -> bool {
         if available == 0 {
@@ -1183,7 +1144,7 @@ impl CompiledReaction {
         depth: usize,
         order: &[usize],
         bag: &S,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
         consumed: &mut [Option<Element>],
         rng: &mut ChaCha8Rng,
         scratch: &mut [ScratchLevel],
@@ -1284,7 +1245,7 @@ impl CompiledReaction {
         value: &Value,
         available: usize,
         bag: &S,
-        bindings: &mut Bindings<'_>,
+        bindings: &mut Bindings,
         consumed: &mut [Option<Element>],
         rng: &mut ChaCha8Rng,
         rest: &mut [ScratchLevel],
@@ -1327,7 +1288,7 @@ impl CompiledReaction {
         &self,
         reaction_index: usize,
         consumed: Vec<Option<Element>>,
-        bindings: &Bindings<'_>,
+        bindings: &Bindings,
     ) -> Result<Option<Firing>, MatchError> {
         let consumed: Vec<Element> = consumed.into_iter().map(|e| e.unwrap()).collect();
         let (clause, produced) = self
@@ -1351,7 +1312,7 @@ impl CompiledReaction {
         rng: Option<&mut ChaCha8Rng>,
         scratch: &mut SearchScratch,
     ) -> Result<Option<Firing>, MatchError> {
-        let mut bindings = Bindings::new(self.nvars, &self.var_index);
+        let mut bindings = Bindings::new(self.nvars);
         let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
         let found = match rng {
             None => self.det_search(0, &self.order, bag, &mut bindings, &mut consumed),
@@ -1494,7 +1455,7 @@ impl CompiledReaction {
                 continue;
             }
             tried += 1;
-            let mut bindings = Bindings::new(self.nvars, &self.var_index);
+            let mut bindings = Bindings::new(self.nvars);
             let bound = self
                 .bind_position(&self.positions[0], la, ta, va, &mut bindings)
                 .is_some()
@@ -1616,7 +1577,7 @@ impl CompiledReaction {
         }
         let mut parked = cursor.row as usize;
         let mut hit = None;
-        let mut bindings = Bindings::new(self.nvars, &self.var_index);
+        let mut bindings = Bindings::new(self.nvars);
         for (i, _id, value, _count) in bucket.iter_ids_from(parked) {
             match self.bind_position(pat, label, tag, value, &mut bindings) {
                 None => {
@@ -1684,7 +1645,7 @@ impl CompiledReaction {
             if !self.position_admits(p, anchor) {
                 continue;
             }
-            let mut bindings = Bindings::new(self.nvars, &self.var_index);
+            let mut bindings = Bindings::new(self.nvars);
             let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
             let pat = &self.positions[p];
             if self
@@ -1749,7 +1710,6 @@ impl CompiledReaction {
         }
         let mut bindings = Bindings {
             slots: std::mem::take(&mut scratch.slots),
-            index: &self.var_index,
         };
         let mut consumed = std::mem::take(&mut scratch.consumed);
         let found = self.det_search(
@@ -1779,7 +1739,6 @@ impl CompiledReaction {
     ) -> Result<Option<Firing>, MatchError> {
         let mut bindings = Bindings {
             slots: slots.to_vec(),
-            index: &self.var_index,
         };
         let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
         for (k, e) in prefix.iter().enumerate() {
@@ -1805,83 +1764,49 @@ impl CompiledReaction {
     }
 
     /// Index of the first clause whose guard holds under `bindings`, if any.
-    fn enabled_clause(&self, bindings: &Bindings<'_>) -> Option<usize> {
-        if self.vm.mode() == GuardEvalMode::Vm {
-            let cs = self.vm.active();
-            for (i, g) in cs.clause_guards.iter().enumerate() {
-                match g {
-                    ClauseGuardChunk::Total => return Some(i),
-                    ClauseGuardChunk::If(cond) => {
-                        if cond.eval_guard(&bindings.slots, &[]) {
-                            return Some(i);
-                        }
-                    }
-                }
-            }
-            return None;
-        }
-        for (i, c) in self.spec.clauses.iter().enumerate() {
-            match &c.guard {
-                Guard::Always | Guard::Else => return Some(i),
-                Guard::If(cond) => {
-                    if cond.eval_bool(bindings).unwrap_or(false) {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-        None
+    fn enabled_clause(&self, bindings: &Bindings) -> Option<usize> {
+        self.vm.active().clause_guards.iter().position(|g| match g {
+            ClauseGuardChunk::Total => true,
+            ClauseGuardChunk::If(cond) => cond.eval_guard(&bindings.slots, &[]),
+        })
     }
 
     /// Evaluate the selected clause's outputs.
     fn outputs_for(
         &self,
-        bindings: &Bindings<'_>,
+        bindings: &Bindings,
     ) -> Result<Option<(usize, Vec<Element>)>, MatchError> {
         let Some(clause_idx) = self.enabled_clause(bindings) else {
             return Ok(None);
         };
         let clause: &ByClause = &self.spec.clauses[clause_idx];
-        let vm_outputs = match self.vm.mode() {
-            GuardEvalMode::Vm => Some(&self.vm.active().clause_outputs[clause_idx]),
-            GuardEvalMode::Tree => None,
-        };
+        let chunks = &self.vm.active().clause_outputs[clause_idx];
         let mut produced = Vec::with_capacity(clause.outputs.len());
-        for (oi, out) in clause.outputs.iter().enumerate() {
-            produced.push(self.eval_output(out, vm_outputs.map(|os| &os[oi]), bindings)?);
+        for (out, oc) in clause.outputs.iter().zip(chunks) {
+            produced.push(self.eval_output(out, oc, bindings)?);
         }
         Ok(Some((clause_idx, produced)))
     }
 
-    /// Evaluate one output element. With `vm_out`, the value/label/tag
-    /// expressions dispatch as bytecode; the surrounding conversions (and
-    /// so every error payload) are shared with the tree path.
+    /// Evaluate one output element: the value/label/tag expressions
+    /// dispatch as bytecode, then convert to an element.
     fn eval_output(
         &self,
         out: &ElementSpec,
-        vm_out: Option<&OutputChunks>,
-        bindings: &Bindings<'_>,
+        oc: &OutputChunks,
+        bindings: &Bindings,
     ) -> Result<Element, MatchError> {
-        let value = match vm_out {
-            Some(oc) => oc.value.eval(&bindings.slots, &[]),
-            None => out.value.eval(bindings),
-        }
-        .map_err(|error| MatchError::Action {
+        let action_err = |error| MatchError::Action {
             reaction: self.name.clone(),
             error,
-        })?;
-        let label = match &out.label {
-            LabelSpec::Lit(l) => *l,
-            LabelSpec::Var(v) => {
-                let lv = match vm_out.and_then(|oc| oc.label_var.as_ref()) {
-                    Some(c) => c.eval(&bindings.slots, &[]),
-                    None => Expr::Var(*v).eval(bindings),
-                }
-                .map_err(|error| MatchError::Action {
-                    reaction: self.name.clone(),
-                    error,
-                })?;
-                match lv {
+        };
+        let value = oc.value.eval(&bindings.slots, &[]).map_err(action_err)?;
+        // The chunk set compiles a label chunk exactly for label
+        // variables and a tag chunk exactly for tag expressions.
+        let label = match (&out.label, &oc.label_var) {
+            (LabelSpec::Lit(l), _) => *l,
+            (LabelSpec::Var(_), Some(c)) => {
+                match c.eval(&bindings.slots, &[]).map_err(action_err)? {
                     Value::Str(s) => Symbol::intern(&s),
                     other => {
                         return Err(MatchError::BadTag {
@@ -1891,28 +1816,19 @@ impl CompiledReaction {
                     }
                 }
             }
+            (LabelSpec::Var(v), None) => unreachable!("label variable {v} has no chunk"),
         };
-        let tag = match &out.tag {
-            TagSpec::Zero => Tag::ZERO,
-            TagSpec::Expr(e) => {
-                let tv = match vm_out.and_then(|oc| oc.tag.as_ref()) {
-                    Some(c) => c.eval(&bindings.slots, &[]),
-                    None => e.eval(bindings),
+        let tag = match &oc.tag {
+            None => Tag::ZERO,
+            Some(c) => match c.eval(&bindings.slots, &[]).map_err(action_err)? {
+                Value::Int(t) if t >= 0 => Tag(t as u64),
+                other => {
+                    return Err(MatchError::BadTag {
+                        reaction: self.name.clone(),
+                        value: other.to_string(),
+                    })
                 }
-                .map_err(|error| MatchError::Action {
-                    reaction: self.name.clone(),
-                    error,
-                })?;
-                match tv {
-                    Value::Int(t) if t >= 0 => Tag(t as u64),
-                    other => {
-                        return Err(MatchError::BadTag {
-                            reaction: self.name.clone(),
-                            value: other.to_string(),
-                        })
-                    }
-                }
-            }
+            },
         };
         Ok(Element { value, label, tag })
     }
@@ -1942,14 +1858,6 @@ impl CompiledProgram {
             }
         }
         Ok(CompiledProgram { reactions })
-    }
-
-    /// Stamp every reaction's guard/action evaluation mode (sessions call
-    /// this once before building matcher state).
-    pub fn set_guard_eval_mode(&mut self, mode: GuardEvalMode) {
-        for r in &mut self.reactions {
-            r.set_guard_eval_mode(mode);
-        }
     }
 
     /// Find any enabled firing in `bag`, trying reactions in `order`

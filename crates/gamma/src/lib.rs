@@ -81,7 +81,6 @@
 pub mod compiled;
 pub mod expr;
 pub mod fault;
-pub mod naive;
 pub mod parallel;
 pub mod pool;
 pub mod rete;
@@ -99,11 +98,8 @@ pub use compiled::{
 };
 pub use expr::{EvalError, Expr};
 pub use fault::{Fault, FaultPlan};
-pub use naive::{run_naive, NaiveBag};
-pub use parallel::{
-    run_parallel, OnExhausted, ParConfig, ParEngine, ParResult, ParStats, RecoveryPolicy,
-};
-pub use pool::{WaveDispatch, WorkerPool};
+pub use parallel::{run_parallel, OnExhausted, ParEngine, ParResult, ParStats, RecoveryPolicy};
+pub use pool::WorkerPool;
 pub use rete::{
     AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan, DEFAULT_SPILL_WATERMARK,
 };
@@ -112,8 +108,7 @@ pub use schedule::{
     DeltaScheduler, DependencyIndex, Matcher, MatcherChoice, SchedStats, ShardedWorklist,
 };
 pub use seq::{
-    run_pipeline, ExecConfig, ExecError, ExecResult, ParError, Scheduling, Selection,
-    SeqInterpreter, Status,
+    run_pipeline, ExecError, ExecResult, ParError, Scheduling, Selection, SeqInterpreter, Status,
 };
 pub use session::{
     Engine, EngineConfig, InjectOutcome, Session, SessionBuilder, SessionSnapshot, Wave,
@@ -128,4 +123,4 @@ pub use telemetry::{
     Telemetry, TraceEvent, TraceRecord, TraceSink, MAIN_WORKER,
 };
 pub use trace::{ExecStats, FiringRecord};
-pub use vm::{Chunk, GuardEvalMode, Opcode, ReactionVm, Tier};
+pub use vm::{Chunk, Opcode, ReactionVm, Tier};

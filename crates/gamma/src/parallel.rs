@@ -71,10 +71,10 @@
 
 use crate::compiled::{CompiledProgram, Firing, MatchError, MatchSource, SearchScratch};
 use crate::fault::{FaultPlan, WaveFaults};
-use crate::pool::WaveDispatch;
+use crate::pool::WorkerPool;
 use crate::rete::{AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan};
 use crate::schedule::{DependencyIndex, ShardedWorklist};
-use crate::seq::{ExecError, ExecResult, ParError, Status};
+use crate::seq::{ExecError, ExecResult, ParError, Selection, Status};
 use crate::session::{EngineConfig, Session};
 use crate::spec::GammaProgram;
 use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
@@ -142,67 +142,6 @@ pub enum ParEngine {
     /// The sampled optimistic probe-and-retry loop with heuristic dirty
     /// flags — the pre-sharding engine, kept as the measurable baseline.
     ProbeRetry,
-}
-
-/// Configuration for the parallel interpreter.
-#[derive(Debug, Clone)]
-pub struct ParConfig {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Number of multiset shards (rounded up to a power of two).
-    pub shards: usize,
-    /// Global firing budget.
-    pub max_firings: u64,
-    /// Seed for per-worker RNG streams.
-    pub seed: u64,
-    /// Cap on candidate values examined per bucket probe during worker
-    /// search (probe-retry engine only; exact checks and the sharded
-    /// engine ignore it). Keeps single probes cheap on huge buckets;
-    /// matches missed by sampling are found by retries or the checker.
-    pub sample_cap: usize,
-    /// Which worker loop runs (see [`ParEngine`]).
-    pub engine: ParEngine,
-    /// Per-reaction live-token budget for each worker's rete slice
-    /// (sharded engine): past it, deep join levels spill to on-demand
-    /// search exactly as in the sequential engine. Exactness never
-    /// depends on the value.
-    pub rete_watermark: usize,
-    /// How guard and action expressions are evaluated: bytecode VM
-    /// dispatch (the default) or the reference tree walk. Observable
-    /// behaviour is identical either way (see [`crate::vm`]).
-    pub guard_eval: crate::vm::GuardEvalMode,
-    /// Cumulative `fired + guard_evals` profile count past which a
-    /// reaction re-compiles its bytecode with the optimising pass at the
-    /// next wave boundary. `u64::MAX` disables tiering.
-    pub vm_tier_threshold: u64,
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        ParConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            shards: 64,
-            max_firings: 10_000_000,
-            seed: 0,
-            sample_cap: 64,
-            engine: ParEngine::default(),
-            rete_watermark: crate::rete::DEFAULT_SPILL_WATERMARK,
-            guard_eval: crate::vm::GuardEvalMode::default(),
-            vm_tier_threshold: crate::session::DEFAULT_VM_TIER_THRESHOLD,
-        }
-    }
-}
-
-impl ParConfig {
-    /// Config with `workers` threads, other fields default.
-    pub fn with_workers(workers: usize) -> ParConfig {
-        ParConfig {
-            workers: workers.max(1),
-            ..ParConfig::default()
-        }
-    }
 }
 
 /// What a parallel wave does when a worker thread dies mid-wave. Worker
@@ -317,8 +256,7 @@ pub struct ParStats {
     /// [`crate::pool::WorkerPool`].
     pub pool_leases: u64,
     /// Wave attempts that fell back to per-wave scoped thread spawn
-    /// (pool full, or dispatch configured as
-    /// [`crate::pool::WaveDispatch::SpawnPerWave`]).
+    /// (the pool could not seat the wave; a zero-size pool never can).
     pub pool_spawns: u64,
 }
 
@@ -609,8 +547,8 @@ impl MatchSource for LockedShards<'_> {
 /// [`ReteNetwork::has_match`] stays exact at any watermark.
 const OCCUPANCY_PROBE_WATERMARK: usize = 256;
 
-/// Run `program` on `initial` with the parallel engine selected by
-/// [`ParConfig::engine`].
+/// Run `program` on `initial` with the engine `config` names —
+/// [`EngineConfig::parallel`] selects the sharded parallel engine.
 ///
 /// A thin wrapper over a one-wave [`Session`]: the session builds the
 /// same sharded bag / slices / dirty flags this function historically
@@ -621,13 +559,22 @@ const OCCUPANCY_PROBE_WATERMARK: usize = 256;
 pub fn run_parallel(
     program: &GammaProgram,
     initial: ElementBag,
-    config: &ParConfig,
+    config: &EngineConfig,
 ) -> Result<ParResult, ExecError> {
     let mut session = Session::build(program)
-        .config(EngineConfig::from(config))
+        .config(config.clone())
         .start(initial)?;
     session.run_to_stable()?;
     Ok(session.finish_parallel())
+}
+
+/// The base of the workers' RNG streams: the seed of
+/// [`Selection::Seeded`], `0` under [`Selection::Deterministic`].
+fn stream_seed(config: &EngineConfig) -> u64 {
+    match config.selection {
+        Selection::Seeded(seed) => seed,
+        Selection::Deterministic => 0,
+    }
 }
 
 /// Persistent state of the probe-retry engine across a session's waves:
@@ -697,7 +644,7 @@ impl ProbeState {
             nreactions,
             workers: config.workers.max(1),
             sample_cap: config.sample_cap,
-            seed: config.seed,
+            seed: stream_seed(config),
             rete_precleared,
             probe_stats,
         }
@@ -923,7 +870,7 @@ impl ProbeState {
                 Err(_) => done.store(true, Ordering::Release),
             }
         };
-        if ctl.dispatch.run(workers, &body) {
+        if ctl.pool.run(workers, &body) {
             par.pool_leases += 1;
         } else {
             par.pool_spawns += 1;
@@ -1163,8 +1110,8 @@ pub(crate) struct WaveCtl<'a> {
     pub(crate) tel: &'a Telemetry,
     /// The session's main-thread event counter.
     pub(crate) ev: &'a Cell<u64>,
-    /// Worker acquisition policy (parked pool lease or per-wave spawn).
-    pub(crate) dispatch: &'a WaveDispatch,
+    /// The pool waves lease workers from (a refused lease spawns).
+    pub(crate) pool: &'a WorkerPool,
 }
 
 impl WaveCtl<'_> {
@@ -1494,7 +1441,7 @@ impl ShardedState {
             nreactions: compiled.reactions.len(),
             watermark: config.rete_watermark,
             sample_cap: config.sample_cap,
-            seed: config.seed,
+            seed: stream_seed(config),
         }
     }
 
@@ -1832,7 +1779,7 @@ impl ShardedState {
                 Err(_) => shared.done.store(true, Ordering::Release),
             }
         };
-        if ctl.dispatch.run(workers, &body) {
+        if ctl.pool.run(workers, &body) {
             par.pool_leases += 1;
         } else {
             par.pool_spawns += 1;
@@ -2259,6 +2206,7 @@ fn wake_dependents(shared: &SharedRun<'_>, w: usize, firing: &Firing) {
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::session::Engine;
     use crate::spec::{ElementSpec, Pattern, ReactionSpec};
     use gammaflow_multiset::value::{BinOp, CmpOp};
     use gammaflow_multiset::Element;
@@ -2288,7 +2236,7 @@ mod tests {
     #[test]
     fn parallel_sum_reduces_to_total() {
         let initial: ElementBag = (1..=100).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_parallel(&sum_program(), initial, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.len(), 1);
         assert!(result.exec.multiset.contains(&e(5050, "n", 0)));
@@ -2301,7 +2249,7 @@ mod tests {
             .iter()
             .map(|&v| e(v, "n", 0))
             .collect();
-        let result = run_parallel(&max_program(), initial, &ParConfig::with_workers(3)).unwrap();
+        let result = run_parallel(&max_program(), initial, &EngineConfig::parallel(3)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.sorted_elements(), vec![e(99, "n", 0)]);
     }
@@ -2310,7 +2258,7 @@ mod tests {
     fn single_worker_matches_sequential_result() {
         let initial: ElementBag = (1..=30).map(|v| e(v, "n", 0)).collect();
         let par =
-            run_parallel(&sum_program(), initial.clone(), &ParConfig::with_workers(1)).unwrap();
+            run_parallel(&sum_program(), initial.clone(), &EngineConfig::parallel(1)).unwrap();
         let seq = crate::seq::SeqInterpreter::with_seed(&sum_program(), initial, 9)
             .run()
             .unwrap();
@@ -2326,10 +2274,9 @@ mod tests {
                 "n",
             )])]);
         let initial: ElementBag = [e(0, "n", 0)].into_iter().collect();
-        let config = ParConfig {
-            workers: 2,
-            max_firings: 50,
-            ..ParConfig::default()
+        let config = EngineConfig {
+            max_steps: 50,
+            ..EngineConfig::parallel(2)
         };
         let result = run_parallel(&diverge, initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::BudgetExhausted);
@@ -2345,7 +2292,7 @@ mod tests {
         let result = run_parallel(
             &GammaProgram::default(),
             initial.clone(),
-            &ParConfig::with_workers(4),
+            &EngineConfig::parallel(4),
         )
         .unwrap();
         assert_eq!(result.exec.status, Status::Stable);
@@ -2361,7 +2308,7 @@ mod tests {
                 "out",
             )])]);
         let initial: ElementBag = [e(0, "n", 0)].into_iter().collect();
-        let result = run_parallel(&bad, initial, &ParConfig::with_workers(2));
+        let result = run_parallel(&bad, initial, &EngineConfig::parallel(2));
         assert!(matches!(result, Err(ExecError::Match(_))));
     }
 
@@ -2380,7 +2327,7 @@ mod tests {
         let initial: ElementBag = [e(1, "A", 0), e(2, "B", 1), e(10, "A", 1)]
             .into_iter()
             .collect();
-        let result = run_parallel(&pair, initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_parallel(&pair, initial, &EngineConfig::parallel(4)).unwrap();
         let sorted = result.exec.multiset.sorted_elements();
         assert_eq!(sorted, vec![e(1, "A", 0), e(12, "C", 1)]);
     }
@@ -2399,9 +2346,9 @@ mod tests {
                 .by(vec![ElementSpec::pair(Expr::var("x"), "c")]),
         ]);
         let initial: ElementBag = (1..=4).map(|v| e(v, "a", 0)).collect();
-        let config = ParConfig {
-            engine: ParEngine::ProbeRetry,
-            ..ParConfig::with_workers(2)
+        let config = EngineConfig {
+            engine: Engine::Parallel(ParEngine::ProbeRetry),
+            ..EngineConfig::parallel(2)
         };
         let result = run_parallel(&chain, initial, &config).unwrap();
         assert_eq!(result.par.rete_precleared, 1);
@@ -2425,9 +2372,9 @@ mod tests {
         ] {
             let mut finals = Vec::new();
             for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-                let config = ParConfig {
-                    engine,
-                    ..ParConfig::with_workers(4)
+                let config = EngineConfig {
+                    engine: Engine::Parallel(engine),
+                    ..EngineConfig::parallel(4)
                 };
                 let result = run_parallel(&program, initial.clone(), &config).unwrap();
                 assert_eq!(result.exec.status, Status::Stable);
@@ -2440,8 +2387,8 @@ mod tests {
     #[test]
     fn sharded_engine_publishes_and_drains_deltas() {
         let initial: ElementBag = (1..=50).map(|v| e(v, "n", 0)).collect();
-        let config = ParConfig::with_workers(3);
-        assert_eq!(config.engine, ParEngine::ShardedRete);
+        let config = EngineConfig::parallel(3);
+        assert_eq!(config.engine, Engine::Parallel(ParEngine::ShardedRete));
         let result = run_parallel(&sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.exec.multiset.contains(&e(1275, "n", 0)));
@@ -2462,7 +2409,7 @@ mod tests {
         // owns the whole slice; with several workers the thieves' stolen
         // searches must contribute (or at least never break the result).
         let initial: ElementBag = (1..=200).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_parallel(&sum_program(), initial, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.exec.multiset.contains(&e(20100, "n", 0)));
         assert_eq!(result.exec.stats.firings_total(), 199);
@@ -2483,9 +2430,9 @@ mod tests {
         // bounded peak.
         let n = 120i64;
         let initial: ElementBag = (1..=n).map(|v| e(v, "n", 0)).collect();
-        let config = ParConfig {
+        let config = EngineConfig {
             rete_watermark: 500,
-            ..ParConfig::with_workers(2)
+            ..EngineConfig::parallel(2)
         };
         let result = run_parallel(&sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
@@ -2509,9 +2456,9 @@ mod tests {
         // through the spill — those counters must reach ParStats (the
         // aggregation used to drop them).
         let initial: ElementBag = (1..=300).map(|v| e(v, "n", 0)).collect();
-        let config = ParConfig {
-            engine: ParEngine::ProbeRetry,
-            ..ParConfig::with_workers(2)
+        let config = EngineConfig {
+            engine: Engine::Parallel(ParEngine::ProbeRetry),
+            ..EngineConfig::parallel(2)
         };
         let result = run_parallel(&sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
@@ -2536,7 +2483,7 @@ mod tests {
             initial.insert(e(t as i64, "A", t));
             initial.insert(e(1000 + t as i64, "B", t));
         }
-        let result = run_parallel(&pair, initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_parallel(&pair, initial, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.len(), 64);
         assert_eq!(result.exec.multiset.count_label("C".into()), 64);
@@ -2573,7 +2520,7 @@ mod tests {
             .into_iter()
             .collect();
         let workers = 4usize;
-        let result = run_parallel(&countdown, initial, &ParConfig::with_workers(workers)).unwrap();
+        let result = run_parallel(&countdown, initial, &EngineConfig::parallel(workers)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         // Every label counted down to zero: 3 + 2 + 4 firings.
         assert_eq!(result.exec.stats.firings_total(), 9);
@@ -2595,7 +2542,7 @@ mod tests {
         // consumer the single-component sum routes every delta to exactly
         // its owner's mailbox — Arc sharing must not change the counts.
         let initial: ElementBag = (1..=50).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(3)).unwrap();
+        let result = run_parallel(&sum_program(), initial, &EngineConfig::parallel(3)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.par.deltas_published, 49);
         assert_eq!(result.par.deltas_processed, 49);
@@ -2604,7 +2551,7 @@ mod tests {
     #[test]
     fn stress_many_workers_many_elements() {
         let initial: ElementBag = (1..=500).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(8)).unwrap();
+        let result = run_parallel(&sum_program(), initial, &EngineConfig::parallel(8)).unwrap();
         assert_eq!(result.exec.multiset.len(), 1);
         assert!(result.exec.multiset.contains(&e(125250, "n", 0)));
     }

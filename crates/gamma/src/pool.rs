@@ -97,9 +97,10 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Start a pool of `size` parked workers.
+    /// Start a pool of `size` parked workers. A pool of size `0` owns
+    /// no thread and refuses every lease, so each wave run on it spawns
+    /// its own scoped workers (the spawn-per-wave baseline).
     pub fn new(size: usize) -> Arc<WorkerPool> {
-        let size = size.max(1);
         let inner = Arc::new(PoolInner {
             state: Mutex::new(PoolState {
                 free: size,
@@ -193,6 +194,21 @@ impl WorkerPool {
         latch.wait();
         true
     }
+
+    /// Run `body(0..k)` on `k` concurrent workers: leased from the pool
+    /// when it can seat the whole wave, scoped spawns otherwise. Returns
+    /// `true` when the wave ran on leased workers.
+    pub(crate) fn run(&self, k: usize, body: &(dyn Fn(usize) + Sync)) -> bool {
+        if self.try_run_scoped(k, body) {
+            return true;
+        }
+        std::thread::scope(|scope| {
+            for w in 0..k {
+                scope.spawn(move || body(w));
+            }
+        });
+        false
+    }
 }
 
 impl Drop for WorkerPool {
@@ -205,57 +221,6 @@ impl Drop for WorkerPool {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// How a parallel wave acquires its worker threads.
-///
-/// Lives on the [`crate::session::Session`], not in the serialized
-/// engine config: dispatch is a process-local execution concern (an
-/// `Arc` into a thread pool), and the same snapshot must restore under
-/// either policy with byte-identical results — only wave latency
-/// changes.
-#[derive(Clone)]
-pub enum WaveDispatch {
-    /// Lease parked workers from a pool, falling back to per-wave
-    /// scoped spawn whenever the pool can not seat the whole wave.
-    Parked(Arc<WorkerPool>),
-    /// Spawn scoped threads every wave (the historical behaviour; kept
-    /// as the measurable baseline — harness step `S10`).
-    SpawnPerWave,
-}
-
-impl Default for WaveDispatch {
-    fn default() -> Self {
-        WaveDispatch::Parked(Arc::clone(WorkerPool::global()))
-    }
-}
-
-impl std::fmt::Debug for WaveDispatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WaveDispatch::Parked(pool) => write!(f, "Parked({} workers)", pool.size()),
-            WaveDispatch::SpawnPerWave => write!(f, "SpawnPerWave"),
-        }
-    }
-}
-
-impl WaveDispatch {
-    /// Run `body(0..k)` on `k` concurrent workers, however acquired,
-    /// returning once every call has finished. Returns `true` when the
-    /// wave ran on leased pool workers.
-    pub(crate) fn run(&self, k: usize, body: &(dyn Fn(usize) + Sync)) -> bool {
-        if let WaveDispatch::Parked(pool) = self {
-            if pool.try_run_scoped(k, body) {
-                return true;
-            }
-        }
-        std::thread::scope(|scope| {
-            for w in 0..k {
-                scope.spawn(move || body(w));
-            }
-        });
-        false
     }
 }
 
@@ -304,6 +269,26 @@ mod tests {
         for h in &hits {
             assert_eq!(h.load(Ordering::SeqCst), 1);
         }
+    }
+
+    #[test]
+    fn zero_size_pool_refuses_every_lease() {
+        let pool = WorkerPool::new(0);
+        assert_eq!(pool.size(), 0);
+        let ran = AtomicUsize::new(0);
+        for k in 1..=3 {
+            assert!(!pool.try_run_scoped(k, &|_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(pool.lease_stats(), (0, 3));
+        // `run` falls back to scoped spawns and still runs every index.
+        assert!(!pool.run(3, &|_| {
+            ran.fetch_add(1, Ordering::SeqCst);
+        }));
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        assert_eq!(pool.lease_stats(), (0, 4));
     }
 
     #[test]

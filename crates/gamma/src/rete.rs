@@ -90,8 +90,6 @@ use crate::compiled::{
     CompiledProgram, CompiledReaction, Firing, LabelFilter, MatchError, MatchSource, SearchScratch,
 };
 use crate::schedule::DependencyIndex;
-use crate::vm::GuardEvalMode;
-use gammaflow_multiset::value::{BinOp, CmpOp, UnOp};
 use gammaflow_multiset::{shard_index, ElemId, Element, FxHashMap, FxHashSet, Symbol, Tag, Value};
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
@@ -325,78 +323,6 @@ pub struct ReteReactionCounters {
     pub peak_tokens: u64,
 }
 
-/// A `where`/guard conjunct with variables resolved to binding slots, so
-/// the join hot loop evaluates guards by direct slot index instead of
-/// symbol hashing. This is the [`GuardEvalMode::Tree`] evaluator — the
-/// reference tree walk the bytecode VM (the default dispatch,
-/// [`crate::vm`]) is differentially tested against. The earlier
-/// hand-rolled `i64` comparison fast path lived here; the VM's
-/// `i64`-specialised dispatch loop replaced it, covering every guard
-/// shape instead of single comparisons.
-#[derive(Debug, Clone)]
-enum GuardExpr {
-    Lit(Value),
-    Slot(u16),
-    Bin(BinOp, Box<GuardExpr>, Box<GuardExpr>),
-    Cmp(CmpOp, Box<GuardExpr>, Box<GuardExpr>),
-    Un(UnOp, Box<GuardExpr>),
-}
-
-impl GuardExpr {
-    fn compile(e: &crate::expr::Expr, var_index: &FxHashMap<Symbol, u16>) -> GuardExpr {
-        use crate::expr::Expr;
-        match e {
-            Expr::Lit(v) => GuardExpr::Lit(v.clone()),
-            Expr::Var(s) => GuardExpr::Slot(var_index[s]),
-            Expr::Bin(op, a, b) => GuardExpr::Bin(
-                *op,
-                Box::new(GuardExpr::compile(a, var_index)),
-                Box::new(GuardExpr::compile(b, var_index)),
-            ),
-            Expr::Cmp(op, a, b) => GuardExpr::Cmp(
-                *op,
-                Box::new(GuardExpr::compile(a, var_index)),
-                Box::new(GuardExpr::compile(b, var_index)),
-            ),
-            Expr::Un(op, a) => GuardExpr::Un(*op, Box::new(GuardExpr::compile(a, var_index))),
-        }
-    }
-
-    /// Evaluate over a base binding with an overlay of fresh bindings;
-    /// `None` means an evaluation error (which, for conditions, means
-    /// "does not hold" — the engines' shared rule).
-    fn eval(&self, base: &[Option<Value>], extra: &[(u16, Value)]) -> Option<Value> {
-        match self {
-            GuardExpr::Lit(v) => Some(v.clone()),
-            GuardExpr::Slot(i) => extra
-                .iter()
-                .find(|(j, _)| j == i)
-                .map(|(_, v)| v.clone())
-                .or_else(|| base[*i as usize].clone()),
-            GuardExpr::Bin(op, a, b) => {
-                let a = a.eval(base, extra)?;
-                let b = b.eval(base, extra)?;
-                Value::binop(*op, &a, &b).ok()
-            }
-            GuardExpr::Cmp(op, a, b) => {
-                let a = a.eval(base, extra)?;
-                let b = b.eval(base, extra)?;
-                Value::cmp_op(*op, &a, &b).ok()
-            }
-            GuardExpr::Un(op, a) => {
-                let a = a.eval(base, extra)?;
-                Value::unop(*op, &a).ok()
-            }
-        }
-    }
-
-    fn eval_bool(&self, base: &[Option<Value>], extra: &[(u16, Value)]) -> bool {
-        self.eval(base, extra)
-            .and_then(|v| v.truthiness())
-            .unwrap_or(false)
-    }
-}
-
 /// A beta-memory token: a partial tuple over join levels `0..=k` with its
 /// variable bindings.
 ///
@@ -416,16 +342,12 @@ struct Token {
     pos: usize,
 }
 
-/// One reaction's join network: pushed-down guards plus beta memories.
+/// One reaction's join network: beta memories over the join order. The
+/// pushed-down guards are the reaction's VM chunks
+/// ([`crate::vm::ReactionVm`]).
 #[derive(Debug)]
 struct ReactionNet {
     arity: usize,
-    /// Pushed-down `where` conjuncts, per join level (the
-    /// [`GuardEvalMode::Tree`] evaluators; VM mode reads chunks off the
-    /// reaction's [`crate::vm::ReactionVm`] instead).
-    level_guards: Vec<Vec<GuardExpr>>,
-    /// Terminal clause-guard disjunction (see [`crate::compiled::GuardPlan`]).
-    clause_disjunction: Option<Vec<GuardExpr>>,
     /// Token arena; `None` slots are free-listed.
     tokens: Vec<Option<Token>>,
     free: Vec<u32>,
@@ -480,8 +402,6 @@ struct ReactionNet {
 
 impl ReactionNet {
     fn new(cr: &CompiledReaction, watermark: usize) -> ReactionNet {
-        let plan = cr.guard_plan();
-        let vi = cr.var_index();
         // Which join levels can be answered from the tag index: level k's
         // pattern carries a tag variable whose slot every level-(k−1)
         // token has already bound (tag-partitioned joins — the dynamic
@@ -511,15 +431,6 @@ impl ReactionNet {
             .collect();
         ReactionNet {
             arity: cr.arity(),
-            level_guards: plan
-                .level_conjuncts
-                .iter()
-                .map(|cs| cs.iter().map(|c| GuardExpr::compile(c, vi)).collect())
-                .collect(),
-            clause_disjunction: plan
-                .clause_disjunction
-                .as_ref()
-                .map(|ds| ds.iter().map(|d| GuardExpr::compile(d, vi)).collect()),
             tokens: Vec::new(),
             free: Vec::new(),
             levels: vec![Vec::new(); cr.arity()],
@@ -991,71 +902,35 @@ impl ReactionNet {
         }
         let extras = &extras[..nextra];
 
-        // Guard dispatch. Both arms evaluate the same per-level conjuncts
-        // and terminal disjunction in the same order — the shared
-        // [`ReactionVm::dispatch_order`], identity on the baseline tier,
-        // re-sorted most-rejecting-first at tier-up — and bump the same
-        // counters per evaluation, so `guard_evals`/`guard_rejects` are
-        // identical whichever evaluator runs (the conservation property
-        // `tests/observability.rs` pins).
-        match cr.guard_eval_mode() {
-            GuardEvalMode::Vm => {
-                let vm = cr.vm();
-                let cs = vm.active();
-                for &ci in vm.dispatch_order(k) {
-                    self.prof.guard_evals += 1;
-                    if !cs.level_conjuncts[k][ci as usize].eval_guard(slots, extras) {
-                        vm.note_conjunct_reject(k, ci);
-                        self.prof.guard_rejects += 1;
-                        stats.guard_rejects += 1;
-                        return None;
-                    }
-                }
-                if k + 1 == self.arity {
-                    if let Some(disj) = &cs.clause_disjunction {
-                        let mut passed = false;
-                        for g in disj {
-                            self.prof.guard_evals += 1;
-                            if g.eval_guard(slots, extras) {
-                                passed = true;
-                                break;
-                            }
-                        }
-                        if !passed {
-                            self.prof.guard_rejects += 1;
-                            stats.guard_rejects += 1;
-                            return None;
-                        }
-                    }
-                }
+        // Guard dispatch: the per-level conjuncts in
+        // [`ReactionVm::dispatch_order`] (identity on the baseline tier,
+        // re-sorted most-rejecting-first at tier-up), then the terminal
+        // clause disjunction, each evaluation counted.
+        let vm = cr.vm();
+        let cs = vm.active();
+        for &ci in vm.dispatch_order(k) {
+            self.prof.guard_evals += 1;
+            if !cs.level_conjuncts[k][ci as usize].eval_guard(slots, extras) {
+                vm.note_conjunct_reject(k, ci);
+                self.prof.guard_rejects += 1;
+                stats.guard_rejects += 1;
+                return None;
             }
-            GuardEvalMode::Tree => {
-                let vm = cr.vm();
-                for &ci in vm.dispatch_order(k) {
+        }
+        if k + 1 == self.arity {
+            if let Some(disj) = &cs.clause_disjunction {
+                let mut passed = false;
+                for g in disj {
                     self.prof.guard_evals += 1;
-                    if !self.level_guards[k][ci as usize].eval_bool(slots, extras) {
-                        vm.note_conjunct_reject(k, ci);
-                        self.prof.guard_rejects += 1;
-                        stats.guard_rejects += 1;
-                        return None;
+                    if g.eval_guard(slots, extras) {
+                        passed = true;
+                        break;
                     }
                 }
-                if k + 1 == self.arity {
-                    if let Some(disj) = &self.clause_disjunction {
-                        let mut passed = false;
-                        for g in disj {
-                            self.prof.guard_evals += 1;
-                            if g.eval_bool(slots, extras) {
-                                passed = true;
-                                break;
-                            }
-                        }
-                        if !passed {
-                            self.prof.guard_rejects += 1;
-                            stats.guard_rejects += 1;
-                            return None;
-                        }
-                    }
+                if !passed {
+                    self.prof.guard_rejects += 1;
+                    stats.guard_rejects += 1;
+                    return None;
                 }
             }
         }

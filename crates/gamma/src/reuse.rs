@@ -102,17 +102,18 @@ pub fn analyze(trace: &[FiringRecord]) -> ReuseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::{ExecConfig, SeqInterpreter};
+    use crate::seq::SeqInterpreter;
+    use crate::session::EngineConfig;
     use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
     use crate::Expr;
     use gammaflow_multiset::value::BinOp;
     use gammaflow_multiset::{Element, ElementBag};
 
     fn traced(program: &GammaProgram, initial: ElementBag, seed: u64) -> Vec<FiringRecord> {
-        let config = ExecConfig {
+        let config = EngineConfig {
             record_trace: true,
             selection: crate::seq::Selection::Seeded(seed),
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         };
         SeqInterpreter::with_config(program, initial, config)
             .unwrap()
@@ -165,10 +166,10 @@ mod tests {
             .replace(Pattern::tagged("x", "a", "v"))
             .by(vec![ElementSpec::inc_tagged(Expr::var("x"), "a", "v")])]);
         let initial: ElementBag = [Element::new(5, "a", 0u64)].into_iter().collect();
-        let config = ExecConfig {
+        let config = EngineConfig {
             record_trace: true,
             max_steps: 20,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         };
         let result = SeqInterpreter::with_config(&relabel, initial, config)
             .unwrap()

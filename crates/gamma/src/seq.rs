@@ -36,32 +36,6 @@ pub enum Status {
     BudgetExhausted,
 }
 
-/// Interpreter configuration.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Maximum number of firings before giving up (default 10 million).
-    pub max_steps: u64,
-    /// Record a full firing trace (consumed/produced per step).
-    pub record_trace: bool,
-    /// Reaction/tuple selection policy.
-    pub selection: Selection,
-    /// Enabled-reaction scheduling strategy.
-    pub scheduling: Scheduling,
-    /// Per-reaction live-token budget for [`Scheduling::Rete`]: past it,
-    /// the deepest join levels spill to on-demand search (see
-    /// [`crate::rete`]). Exactness does not depend on the value; it only
-    /// trades memory for recomputation.
-    pub rete_watermark: usize,
-    /// How guard and action expressions are evaluated: bytecode VM
-    /// dispatch (the default) or the reference tree walk. Observable
-    /// behaviour is identical either way (see [`crate::vm`]).
-    pub guard_eval: crate::vm::GuardEvalMode,
-    /// Cumulative `fired + guard_evals` profile count past which a
-    /// reaction re-compiles its bytecode with the optimising pass at the
-    /// next wave boundary. `u64::MAX` disables tiering.
-    pub vm_tier_threshold: u64,
-}
-
 /// How the interpreter decides which reactions to (re-)search per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum Scheduling {
@@ -85,7 +59,7 @@ pub enum Scheduling {
     /// rescan). Observable behaviour is identical to `Rescan`: same
     /// stable states, and under [`Selection::Deterministic`] the same
     /// firing trace. Memory is bounded by a spill watermark
-    /// ([`ExecConfig::rete_watermark`]): an unguarded n² reaction
+    /// ([`EngineConfig::rete_watermark`]): an unguarded n² reaction
     /// demotes its deep join levels to on-demand search instead of
     /// memorising the cross product — see [`crate::rete`].
     Rete,
@@ -111,20 +85,6 @@ pub enum Selection {
     /// drawn per step, and each search level draws its candidates
     /// uniformly without replacement, stopping at the first match.
     Seeded(u64),
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            max_steps: 10_000_000,
-            record_trace: false,
-            selection: Selection::Seeded(0),
-            scheduling: Scheduling::default(),
-            rete_watermark: crate::rete::DEFAULT_SPILL_WATERMARK,
-            guard_eval: crate::vm::GuardEvalMode::default(),
-            vm_tier_threshold: crate::session::DEFAULT_VM_TIER_THRESHOLD,
-        }
-    }
 }
 
 /// Errors from building or running an interpreter.
@@ -209,7 +169,7 @@ pub struct ExecResult {
     pub status: Status,
     /// Execution counters.
     pub stats: ExecStats,
-    /// The firing trace, if [`ExecConfig::record_trace`] was set.
+    /// The firing trace, if [`EngineConfig::record_trace`] was set.
     pub trace: Option<Vec<FiringRecord>>,
     /// Delta-scheduler counters, when [`Scheduling::Delta`] or
     /// [`Scheduling::Auto`] ran (under `Auto`, for the reactions the
@@ -225,15 +185,17 @@ pub struct ExecResult {
 pub struct SeqInterpreter {
     compiled: CompiledProgram,
     multiset: ElementBag,
-    config: ExecConfig,
+    config: EngineConfig,
 }
 
 impl SeqInterpreter {
-    /// Build an interpreter with explicit configuration.
+    /// Build an interpreter with explicit configuration. It runs the
+    /// engine `config` names ([`Engine::Seq`](crate::session::Engine::Seq)
+    /// by default).
     pub fn with_config(
         program: &GammaProgram,
         initial: ElementBag,
-        config: ExecConfig,
+        config: EngineConfig,
     ) -> Result<SeqInterpreter, ExecError> {
         Ok(SeqInterpreter {
             compiled: CompiledProgram::compile(program)?,
@@ -249,9 +211,9 @@ impl SeqInterpreter {
         Self::with_config(
             program,
             initial,
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Seeded(seed),
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program failed validation")
@@ -262,9 +224,9 @@ impl SeqInterpreter {
         Self::with_config(
             program,
             initial,
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Deterministic,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program failed validation")
@@ -279,11 +241,7 @@ impl SeqInterpreter {
     /// [`Session`] directly and pay the matcher
     /// build once.
     pub fn run(self) -> Result<ExecResult, ExecError> {
-        let mut session = Session::from_compiled(
-            self.compiled,
-            self.multiset,
-            EngineConfig::from(&self.config),
-        );
+        let mut session = Session::from_compiled(self.compiled, self.multiset, self.config);
         session.run_to_stable()?;
         Ok(session.finish())
     }
@@ -295,11 +253,7 @@ impl SeqInterpreter {
     /// with unbounded processors. Delegates to a one-wave
     /// [`Session`] like [`Self::run`].
     pub fn run_max_parallel_steps(self) -> Result<(ExecResult, Vec<usize>), ExecError> {
-        let mut session = Session::from_compiled(
-            self.compiled,
-            self.multiset,
-            EngineConfig::from(&self.config),
-        );
+        let mut session = Session::from_compiled(self.compiled, self.multiset, self.config);
         let (_, profile) = session.run_to_stable_max_parallel()?;
         Ok((session.finish(), profile))
     }
@@ -317,7 +271,7 @@ impl SeqInterpreter {
 pub fn run_pipeline(
     pipeline: &Pipeline,
     initial: ElementBag,
-    config: &ExecConfig,
+    config: &EngineConfig,
 ) -> Result<ExecResult, ExecError> {
     let mut multiset = initial;
     let mut stats = ExecStats::new(0);
@@ -326,7 +280,7 @@ pub fn run_pipeline(
     let mut last_status = Status::Stable;
     for stage in &pipeline.stages {
         let mut session = Session::build(stage)
-            .config(EngineConfig::from(config))
+            .config(config.clone())
             .start(multiset)?;
         let wave = session.run_to_stable()?;
         last_status = wave.status;
@@ -440,9 +394,9 @@ mod tests {
                 "n",
             )])]);
         let initial: ElementBag = [e(0, "n", 0)].into_iter().collect();
-        let config = ExecConfig {
+        let config = EngineConfig {
             max_steps: 100,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         };
         let result = SeqInterpreter::with_config(&diverge, initial, config)
             .unwrap()
@@ -456,9 +410,9 @@ mod tests {
     #[test]
     fn trace_records_every_firing() {
         let initial: ElementBag = [4, 2, 9].into_iter().map(|v| e(v, "n", 0)).collect();
-        let config = ExecConfig {
+        let config = EngineConfig {
             record_trace: true,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         };
         let result = SeqInterpreter::with_config(&min_program(), initial, config)
             .unwrap()
@@ -512,7 +466,7 @@ mod tests {
         let result = run_pipeline(
             &Pipeline::new(vec![stage1, stage2]),
             initial,
-            &ExecConfig::default(),
+            &EngineConfig::default(),
         )
         .unwrap();
         assert_eq!(result.status, Status::Stable);

@@ -45,8 +45,7 @@
 //! [`run_parallel`](crate::parallel::run_parallel), and
 //! [`run_pipeline`](crate::seq::run_pipeline) (stages are sessions
 //! chained by [`Session::drain_stable`]) — with unchanged deterministic
-//! traces; [`EngineConfig`] unifies the legacy `ExecConfig`/`ParConfig`
-//! pair and both convert [`From`] it.
+//! traces; each takes the same [`EngineConfig`].
 //!
 //! # Which state survives a wave
 //!
@@ -64,17 +63,16 @@ use crate::fault::{FaultPlan, WaveFaults};
 use crate::parallel::{
     ParEngine, ParResult, ParStats, ProbeState, RecoveryPolicy, ShardedState, WaveCtl,
 };
-use crate::pool::WaveDispatch;
+use crate::pool::WorkerPool;
 use crate::rete::{ReteNetwork, ReteStats};
 use crate::schedule::{choose_matcher, DeltaScheduler, Matcher, MatcherChoice, SchedStats};
-use crate::seq::{ExecConfig, ExecError, ExecResult, Scheduling, Selection, Status};
+use crate::seq::{ExecError, ExecResult, Scheduling, Selection, Status};
 use crate::spec::GammaProgram;
 use crate::telemetry::{
     firing_event, MetricsRegistry, ProfTimes, ProfileTable, Telemetry, TraceEvent, TraceSink,
     MAIN_WORKER,
 };
 use crate::trace::{ExecStats, FiringRecord};
-use crate::vm::GuardEvalMode;
 use gammaflow_multiset::{Element, ElementBag, Symbol, Tag};
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
@@ -96,10 +94,10 @@ pub enum Engine {
     Parallel(ParEngine),
 }
 
-/// Unified engine configuration consumed by the [`Session`] builder —
-/// the merge of the legacy [`ExecConfig`] (sequential) and
-/// [`ParConfig`](crate::parallel::ParConfig) (parallel) pair, either of
-/// which converts [`From`] into it for migration.
+/// The one engine configuration: the [`Session`] builder and every
+/// one-wave entry point ([`SeqInterpreter`](crate::seq::SeqInterpreter),
+/// [`run_parallel`](crate::parallel::run_parallel),
+/// [`run_pipeline`](crate::seq::run_pipeline)) take it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Which engine runs the waves.
@@ -107,9 +105,9 @@ pub struct EngineConfig {
     /// Sequential per-step strategy (ignored by parallel engines, which
     /// are delta-driven by construction).
     pub scheduling: Scheduling,
-    /// Reaction/tuple selection policy (sequential engines; parallel
-    /// workers draw from per-worker streams seeded by
-    /// [`EngineConfig::seed`]).
+    /// Reaction/tuple selection policy. Parallel workers draw from
+    /// per-worker streams based on the [`Selection::Seeded`] seed (`0`
+    /// under [`Selection::Deterministic`]).
     pub selection: Selection,
     /// Cumulative firing budget across all waves of the session.
     pub max_steps: u64,
@@ -117,8 +115,10 @@ pub struct EngineConfig {
     /// (sequential engines only).
     pub record_trace: bool,
     /// Per-reaction live-token budget for Rete memories (sequential
-    /// network and per-worker slices alike); see
-    /// [`ExecConfig::rete_watermark`].
+    /// network and per-worker slices alike): past it, the deepest join
+    /// levels spill to on-demand search (see [`crate::rete`]).
+    /// Exactness does not depend on the value; it only trades memory
+    /// for recomputation.
     pub rete_watermark: usize,
     /// Worker threads (parallel engines).
     pub workers: usize,
@@ -127,8 +127,6 @@ pub struct EngineConfig {
     /// Bucket sampling cap for probe-retry searches and sharded-engine
     /// thieves (parallel engines).
     pub sample_cap: usize,
-    /// Seed for parallel per-worker RNG streams.
-    pub seed: u64,
     /// Injection backpressure: the bag-size budget [`Session::inject`]
     /// admits elements against. An injection that would push the live
     /// multiset past this many elements is truncated and the overflow
@@ -155,16 +153,11 @@ pub struct EngineConfig {
     /// [`ReactionProfile`](crate::telemetry::ReactionProfile)). Off by
     /// default: each firing costs two extra `Instant::now` calls.
     pub profile: bool,
-    /// How guard and action expressions are evaluated: bytecode VM
-    /// dispatch (the default) or the reference tree walk. Observable
-    /// behaviour is identical either way (see [`crate::vm`]).
-    pub guard_eval: GuardEvalMode,
     /// Profile-driven tiering threshold: once a reaction's cumulative
     /// `fired + guard_evals` (from the session's [`ProfileTable`])
     /// crosses it, the reaction re-compiles its bytecode with the
     /// optimising pass at the next wave boundary — never mid-wave, so
-    /// determinism is untouched. `u64::MAX` disables tiering; only
-    /// meaningful under [`GuardEvalMode::Vm`].
+    /// determinism is untouched. `u64::MAX` disables tiering.
     pub vm_tier_threshold: u64,
 }
 
@@ -187,61 +180,25 @@ impl Default for EngineConfig {
                 .unwrap_or(4),
             shards: 64,
             sample_cap: 64,
-            seed: 0,
             bag_budget: u64::MAX,
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::default(),
             telemetry: Telemetry::disabled(),
             profile: false,
-            guard_eval: GuardEvalMode::default(),
             vm_tier_threshold: DEFAULT_VM_TIER_THRESHOLD,
         }
     }
 }
 
-impl From<&ExecConfig> for EngineConfig {
-    fn from(c: &ExecConfig) -> Self {
+impl EngineConfig {
+    /// The default configuration on the sharded parallel engine with
+    /// `workers` threads (at least one).
+    pub fn parallel(workers: usize) -> EngineConfig {
         EngineConfig {
-            engine: Engine::Seq,
-            scheduling: c.scheduling,
-            selection: c.selection,
-            max_steps: c.max_steps,
-            record_trace: c.record_trace,
-            rete_watermark: c.rete_watermark,
-            guard_eval: c.guard_eval,
-            vm_tier_threshold: c.vm_tier_threshold,
+            engine: Engine::Parallel(ParEngine::ShardedRete),
+            workers: workers.max(1),
             ..EngineConfig::default()
         }
-    }
-}
-
-impl From<ExecConfig> for EngineConfig {
-    fn from(c: ExecConfig) -> Self {
-        EngineConfig::from(&c)
-    }
-}
-
-impl From<&crate::parallel::ParConfig> for EngineConfig {
-    fn from(c: &crate::parallel::ParConfig) -> Self {
-        EngineConfig {
-            engine: Engine::Parallel(c.engine),
-            selection: Selection::Seeded(c.seed),
-            max_steps: c.max_firings,
-            rete_watermark: c.rete_watermark,
-            workers: c.workers,
-            shards: c.shards,
-            sample_cap: c.sample_cap,
-            seed: c.seed,
-            guard_eval: c.guard_eval,
-            vm_tier_threshold: c.vm_tier_threshold,
-            ..EngineConfig::default()
-        }
-    }
-}
-
-impl From<crate::parallel::ParConfig> for EngineConfig {
-    fn from(c: crate::parallel::ParConfig) -> Self {
-        EngineConfig::from(&c)
     }
 }
 
@@ -296,13 +253,11 @@ pub struct SessionBuilder<'a> {
     program: &'a GammaProgram,
     config: EngineConfig,
     observer: Option<WaveObserver>,
-    dispatch: WaveDispatch,
+    pool: Arc<WorkerPool>,
 }
 
 impl<'a> SessionBuilder<'a> {
-    /// Replace the whole configuration (migration path from
-    /// [`ExecConfig`]/[`ParConfig`](crate::parallel::ParConfig) via
-    /// their [`From`] conversions).
+    /// Replace the whole configuration.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -332,7 +287,7 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Rete spill watermark (see [`ExecConfig::rete_watermark`]).
+    /// Rete spill watermark (see [`EngineConfig::rete_watermark`]).
     pub fn watermark(mut self, watermark: usize) -> Self {
         self.config.rete_watermark = watermark;
         self
@@ -387,13 +342,6 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Guard/action evaluation mode: bytecode VM dispatch (the default)
-    /// or the reference tree walk (see [`EngineConfig::guard_eval`]).
-    pub fn guard_eval(mut self, mode: GuardEvalMode) -> Self {
-        self.config.guard_eval = mode;
-        self
-    }
-
     /// Profile-driven tiering threshold (see
     /// [`EngineConfig::vm_tier_threshold`]); `u64::MAX` disables tiering.
     pub fn vm_tier_threshold(mut self, threshold: u64) -> Self {
@@ -407,12 +355,14 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// How parallel waves acquire worker threads (see [`WaveDispatch`]).
-    /// Defaults to leasing from the process-wide parked pool. Not part
-    /// of [`EngineConfig`] or the snapshot: dispatch is a process-local
-    /// execution concern and never changes results, only latency.
-    pub fn wave_dispatch(mut self, dispatch: WaveDispatch) -> Self {
-        self.dispatch = dispatch;
+    /// The pool parallel waves lease their workers from; a wave the
+    /// pool can not seat spawns scoped threads instead (so a
+    /// [`WorkerPool::new(0)`](WorkerPool::new) pool spawns every wave).
+    /// Defaults to [`WorkerPool::global`]. Not part of [`EngineConfig`]
+    /// or the snapshot: the pool is a process-local execution concern
+    /// and never changes results, only latency.
+    pub fn worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -422,7 +372,7 @@ impl<'a> SessionBuilder<'a> {
         let compiled = CompiledProgram::compile(self.program)?;
         let mut session =
             Session::from_compiled_with_observer(compiled, initial, self.config, self.observer);
-        session.dispatch = self.dispatch;
+        session.pool = self.pool;
         Ok(session)
     }
 }
@@ -660,10 +610,10 @@ pub struct Session {
     /// Lifetime baseline → optimised VM re-compiles (see
     /// [`Session::maybe_tier_up`]).
     tier_ups: u64,
-    /// Worker acquisition policy for parallel waves (parked pool lease
-    /// with spawn fallback, or per-wave spawn). Process-local — never
-    /// serialized; a restored session defaults back to the pool.
-    dispatch: WaveDispatch,
+    /// The pool parallel waves lease workers from (spawning when it
+    /// can not seat a wave). Process-local — never serialized; a
+    /// restored session defaults back to the global pool.
+    pool: Arc<WorkerPool>,
 }
 
 impl Session {
@@ -674,7 +624,7 @@ impl Session {
             program,
             config: EngineConfig::default(),
             observer: None,
-            dispatch: WaveDispatch::default(),
+            pool: Arc::clone(WorkerPool::global()),
         }
     }
 
@@ -689,7 +639,7 @@ impl Session {
     }
 
     fn from_compiled_with_observer(
-        mut compiled: CompiledProgram,
+        compiled: CompiledProgram,
         initial: ElementBag,
         mut config: EngineConfig,
         observer: Option<WaveObserver>,
@@ -698,12 +648,9 @@ impl Session {
             // No sink installed explicitly: honour GAMMAFLOW_TRACE.
             config.telemetry = Telemetry::from_env();
         }
-        // Stamp the evaluation mode before any matcher state is built, so
-        // every guard dispatched anywhere in the session's life uses it.
-        compiled.set_guard_eval_mode(config.guard_eval);
         let nreactions = compiled.reactions.len();
         // The selection stream exists only for the sequential engines;
-        // parallel workers derive per-worker streams from `config.seed`.
+        // parallel workers derive per-worker streams from its seed.
         let rng = match (config.engine, config.selection) {
             (Engine::Seq, Selection::Seeded(seed)) => Some(ChaCha8Rng::seed_from_u64(seed)),
             _ => None,
@@ -768,7 +715,7 @@ impl Session {
             seen_spill,
             seen_confirms: 0,
             tier_ups: 0,
-            dispatch: WaveDispatch::default(),
+            pool: Arc::clone(WorkerPool::global()),
         }
         .with_observer(observer);
         session.emit_build_events();
@@ -923,13 +870,13 @@ impl Session {
         self.config.max_steps = self.config.max_steps.saturating_add(extra);
     }
 
-    /// Replace the wave-dispatch strategy on a live session. A
-    /// process-local execution concern, never serialized: a restored
-    /// session defaults back to the shared parked pool, and a service
-    /// that evicts/restores sessions re-applies its per-tenant choice
-    /// through this. Dispatch never changes results, only latency.
-    pub fn set_wave_dispatch(&mut self, dispatch: WaveDispatch) {
-        self.dispatch = dispatch;
+    /// Replace the worker pool on a live session. A process-local
+    /// execution concern, never serialized: a restored session defaults
+    /// back to the global pool, and a service that evicts/restores
+    /// sessions re-applies its pool through this. The pool never
+    /// changes results, only latency.
+    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
+        self.pool = pool;
     }
 
     /// Elements currently in the live multiset.
@@ -1113,7 +1060,7 @@ impl Session {
                     faults: &self.config.faults,
                     tel: &self.config.telemetry,
                     ev: &self.ev,
-                    dispatch: &self.dispatch,
+                    pool: &self.pool,
                 };
                 let (stats, status) =
                     st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?;
@@ -1126,7 +1073,7 @@ impl Session {
                     faults: &self.config.faults,
                     tel: &self.config.telemetry,
                     ev: &self.ev,
-                    dispatch: &self.dispatch,
+                    pool: &self.pool,
                 };
                 let (stats, status) =
                     st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?;
@@ -1270,8 +1217,7 @@ impl Session {
     /// flight and both tiers evaluate identically (see [`crate::vm`]),
     /// determinism, traces, and final multisets are untouched.
     fn maybe_tier_up(&mut self) {
-        if self.config.guard_eval != GuardEvalMode::Vm || self.config.vm_tier_threshold == u64::MAX
-        {
+        if self.config.vm_tier_threshold == u64::MAX {
             return;
         }
         let threshold = self.config.vm_tier_threshold;
@@ -1627,7 +1573,7 @@ impl Session {
         program: &GammaProgram,
         snapshot: SessionSnapshot,
     ) -> Result<Session, ExecError> {
-        let mut compiled = CompiledProgram::compile(program)?;
+        let compiled = CompiledProgram::compile(program)?;
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(ExecError::Snapshot(format!(
                 "unsupported snapshot version {} (expected {SNAPSHOT_VERSION})",
@@ -1648,12 +1594,10 @@ impl Session {
             // side. An in-process snapshot keeps its live handle.
             config.telemetry = Telemetry::from_env();
         }
-        // Stamp the evaluation mode before matcher state builds. Tiers
-        // restart at baseline (chunks are freshly compiled) and re-tier
-        // at the next wave boundary off the restored profile counts —
-        // tier is a pure performance state, never behaviour, so the
-        // resumed run stays byte-identical to the uninterrupted one.
-        compiled.set_guard_eval_mode(config.guard_eval);
+        // Tiers restart at baseline (chunks are freshly compiled) and
+        // re-tier at the next wave boundary off the restored profile
+        // counts — tier is a pure performance state, never behaviour, so
+        // the resumed run stays byte-identical to the uninterrupted one.
         let rng = match (config.engine, config.selection) {
             (Engine::Seq, Selection::Seeded(seed)) => Some(match snapshot.rng {
                 Some(s) => ChaCha8Rng::from_state(s),
@@ -1745,7 +1689,7 @@ impl Session {
             seen_spill,
             seen_confirms,
             tier_ups: 0,
-            dispatch: WaveDispatch::default(),
+            pool: Arc::clone(WorkerPool::global()),
         };
         if session.config.telemetry.enabled() {
             session.emit(TraceEvent::SessionRestored {

@@ -43,22 +43,10 @@ use std::sync::Arc;
 
 use gammaflow_multiset::value::{BinOp, CmpOp, UnOp, ValueError};
 use gammaflow_multiset::{FxHashMap, Symbol, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::compiled::GuardPlan;
 use crate::expr::{EvalError, Expr};
 use crate::spec::{Guard, LabelSpec, ReactionSpec, TagSpec};
-
-/// How compiled reactions evaluate guard and action expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GuardEvalMode {
-    /// Walk the [`Expr`] tree (the pre-VM reference path, kept for A/B
-    /// benchmarking and the differential/conservation test suites).
-    Tree,
-    /// Dispatch compiled bytecode (the default).
-    #[default]
-    Vm,
-}
 
 /// Which compile a reaction's chunks currently come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -616,14 +604,12 @@ impl ChunkSet {
     }
 }
 
-/// A reaction's VM state: evaluation mode, current tier, and the
-/// compiled chunk sets. Owned by
+/// A reaction's VM state: current tier and the compiled chunk sets. Owned by
 /// [`CompiledReaction`](crate::compiled::CompiledReaction); the session
 /// re-compiles to the optimised tier at wave boundaries
 /// (never mid-wave).
 #[derive(Debug, Clone)]
 pub struct ReactionVm {
-    mode: GuardEvalMode,
     tier: Tier,
     slot_syms: Arc<[Symbol]>,
     baseline: ChunkSet,
@@ -640,10 +626,7 @@ pub struct ReactionVm {
     /// tier; re-sorted once at tier-up to try the most-rejecting
     /// conjunct first. Conjunction is order-independent (guard errors
     /// read as `false` either way), so only the short-circuit point —
-    /// never the decision — moves. Both guard evaluators
-    /// ([`GuardEvalMode::Vm`] and [`GuardEvalMode::Tree`]) consult this
-    /// same order, keeping the `guard_evals`/`guard_rejects` counters
-    /// mode-independent at every tier.
+    /// never the decision — moves.
     dispatch: Vec<Vec<u16>>,
 }
 
@@ -652,7 +635,6 @@ impl ReactionVm {
     /// compilation computes the guard plan (two-phase construction).
     pub(crate) fn placeholder() -> ReactionVm {
         ReactionVm {
-            mode: GuardEvalMode::default(),
             tier: Tier::Baseline,
             slot_syms: Vec::new().into(),
             baseline: ChunkSet {
@@ -690,7 +672,6 @@ impl ReactionVm {
         }
         let conjunct_rejects: Arc<[AtomicU64]> = (0..total).map(|_| AtomicU64::new(0)).collect();
         ReactionVm {
-            mode: GuardEvalMode::default(),
             tier: Tier::Baseline,
             slot_syms,
             baseline,
@@ -702,7 +683,7 @@ impl ReactionVm {
     }
 
     /// Join level `k`'s conjunct evaluation order (indices into
-    /// `level_conjuncts[k]` / the tree evaluator's `level_guards[k]`).
+    /// `level_conjuncts[k]`).
     pub(crate) fn dispatch_order(&self, k: usize) -> &[u16] {
         &self.dispatch[k]
     }
@@ -712,15 +693,6 @@ impl ReactionVm {
     pub(crate) fn note_conjunct_reject(&self, k: usize, i: u16) {
         self.conjunct_rejects[self.level_starts[k] as usize + i as usize]
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The evaluation mode the owning reaction dispatches under.
-    pub fn mode(&self) -> GuardEvalMode {
-        self.mode
-    }
-
-    pub(crate) fn set_mode(&mut self, mode: GuardEvalMode) {
-        self.mode = mode;
     }
 
     /// The current tier.

@@ -4,7 +4,7 @@
 //! differential equivalence testing to be meaningful, so the value domain
 //! and every operation on it live here, beneath both models.
 //!
-//! Semantics choices (documented in DESIGN.md §3):
+//! Semantics choices:
 //!
 //! * Integer arithmetic is **wrapping** (two's complement), keeping
 //!   evaluation total so random programs generated by property tests cannot

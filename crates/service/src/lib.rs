@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use gammaflow_gamma::spec::GammaProgram;
 use gammaflow_gamma::{
     EngineConfig, ExecError, ExecResult, InjectOutcome, MetricsRegistry, Session, SessionSnapshot,
-    Status, Telemetry, TraceRecord, TraceSink, Wave, WaveDispatch, WorkerPool,
+    Status, Telemetry, TraceRecord, TraceSink, Wave, WorkerPool,
 };
 use gammaflow_multiset::{Element, ElementBag, FxHashMap};
 
@@ -58,10 +58,9 @@ pub struct ServiceConfig {
     /// (default) disables service-side tracing; tenants may still carry
     /// their own sinks.
     pub trace_path: Option<String>,
-    /// Wave dispatch applied to every tenant session:
-    /// [`WaveDispatch::default`] leases from the process-wide parked
-    /// pool.
-    pub dispatch: WaveDispatch,
+    /// The pool every tenant session's parallel waves lease workers
+    /// from: [`WorkerPool::global`] by default.
+    pub pool: Arc<WorkerPool>,
 }
 
 impl Default for ServiceConfig {
@@ -69,7 +68,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             default_bag_budget: u64::MAX,
             trace_path: None,
-            dispatch: WaveDispatch::default(),
+            pool: Arc::clone(WorkerPool::global()),
         }
     }
 }
@@ -144,16 +143,16 @@ struct TenantSlot {
 impl TenantSlot {
     /// Make the slot resident, restoring from its snapshot if needed,
     /// and return the live session.
-    fn session(&mut self, dispatch: &WaveDispatch) -> Result<&mut Session, ServiceError> {
+    fn session(&mut self, pool: &Arc<WorkerPool>) -> Result<&mut Session, ServiceError> {
         if let SlotState::Evicted(_) = self.state {
             let SlotState::Evicted(snap) = std::mem::replace(&mut self.state, SlotState::Poisoned)
             else {
                 unreachable!()
             };
             let mut session = Session::restore(&self.program, *snap)?;
-            // Dispatch is process-local and never snapshotted; re-apply
-            // the service's choice.
-            session.set_wave_dispatch(dispatch.clone());
+            // The pool is process-local and never snapshotted; re-apply
+            // the service's.
+            session.set_worker_pool(Arc::clone(pool));
             self.state = SlotState::Resident(Box::new(session));
             self.restores += 1;
         }
@@ -282,9 +281,9 @@ impl ServiceRuntime {
 
     /// Register `tenant` running `program` over `initial`, with
     /// `config` shaping its engine. The service applies its default bag
-    /// budget (when the config leaves it unlimited), the shared wave
-    /// dispatch, and — when a trace path is configured — a
-    /// tenant-tagging sink.
+    /// budget (when the config leaves it unlimited), the shared worker
+    /// pool, and — when a trace path is configured — a tenant-tagging
+    /// sink.
     ///
     /// A tenant with initial work is immediately ready.
     pub fn register(
@@ -307,7 +306,7 @@ impl ServiceRuntime {
         let has_work = !initial.is_empty();
         let session = Session::build(program)
             .config(config)
-            .wave_dispatch(self.config.dispatch.clone())
+            .worker_pool(Arc::clone(&self.config.pool))
             .start(initial)?;
         let slot = TenantSlot {
             program: program.clone(),
@@ -361,7 +360,7 @@ impl ServiceRuntime {
         let (outcome, admitted_work) = {
             let mut guard = slot.lock().expect("tenant slot poisoned");
             guard.last_active = tick;
-            let session = guard.session(&self.config.dispatch)?;
+            let session = guard.session(&self.config.pool)?;
             let outcome = session.inject(elements);
             let has_bag = session.bag_len() > 0;
             if let InjectOutcome::Spilled(sp) = &outcome {
@@ -381,7 +380,7 @@ impl ServiceRuntime {
         let slot = self.slot(tenant)?;
         {
             let mut guard = slot.lock().expect("tenant slot poisoned");
-            let session = guard.session(&self.config.dispatch)?;
+            let session = guard.session(&self.config.pool)?;
             session.grant_budget(extra);
         }
         self.enqueue_locked_slot(tenant, &slot);
@@ -420,7 +419,7 @@ impl ServiceRuntime {
         // tenant rather than being lost.
         guard.queued = false;
         guard.last_active = tick;
-        let session = guard.session(&self.config.dispatch)?;
+        let session = guard.session(&self.config.pool)?;
         let wave = session.run_to_stable()?;
         self.waves_total.fetch_add(1, Ordering::Relaxed);
         Ok(Some(WaveReport { tenant, wave }))
@@ -490,7 +489,7 @@ impl ServiceRuntime {
         let tick = self.next_tick();
         let mut guard = slot.lock().expect("tenant slot poisoned");
         guard.last_active = tick;
-        Ok(guard.session(&self.config.dispatch)?.drain_stable())
+        Ok(guard.session(&self.config.pool)?.drain_stable())
     }
 
     /// A copy of `tenant`'s current multiset (restoring it first if
@@ -498,14 +497,14 @@ impl ServiceRuntime {
     pub fn snapshot(&self, tenant: &str) -> Result<ElementBag, ServiceError> {
         let slot = self.slot(tenant)?;
         let mut guard = slot.lock().expect("tenant slot poisoned");
-        Ok(guard.session(&self.config.dispatch)?.snapshot())
+        Ok(guard.session(&self.config.pool)?.snapshot())
     }
 
     /// `tenant`'s last wave status.
     pub fn status(&self, tenant: &str) -> Result<Status, ServiceError> {
         let slot = self.slot(tenant)?;
         let mut guard = slot.lock().expect("tenant slot poisoned");
-        Ok(guard.session(&self.config.dispatch)?.status())
+        Ok(guard.session(&self.config.pool)?.status())
     }
 
     /// Deregister `tenant` and return its final execution result
@@ -518,7 +517,7 @@ impl ServiceRuntime {
                 .ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))?
         };
         let mut guard = slot.lock().expect("tenant slot poisoned");
-        guard.session(&self.config.dispatch)?;
+        guard.session(&self.config.pool)?;
         let state = std::mem::replace(&mut guard.state, SlotState::Poisoned);
         match state {
             SlotState::Resident(session) => Ok(session.finish()),

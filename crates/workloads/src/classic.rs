@@ -199,7 +199,7 @@ pub fn exchange_sort(values: &[i64], seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::{run_parallel, ParConfig, SeqInterpreter, Status};
+    use gammaflow_gamma::{run_parallel, EngineConfig, SeqInterpreter, Status};
 
     fn run_and_check(w: &Workload, seed: u64) {
         let result = SeqInterpreter::with_seed(&w.program, w.initial.clone(), seed)
@@ -261,7 +261,7 @@ mod tests {
     fn sort_runs_in_parallel_engine() {
         let w = exchange_sort(&(0..20).rev().collect::<Vec<_>>(), 3);
         let result =
-            run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
+            run_parallel(&w.program, w.initial.clone(), &EngineConfig::parallel(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset, w.expected);
     }
@@ -270,7 +270,7 @@ mod tests {
     fn primes_runs_in_parallel_engine() {
         let w = primes(60);
         let result =
-            run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
+            run_parallel(&w.program, w.initial.clone(), &EngineConfig::parallel(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset, w.expected);
     }

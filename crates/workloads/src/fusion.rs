@@ -2,8 +2,8 @@
 //! "a parallel implementation of data fusion algorithm using Gamma",
 //! target tracking on naval sensor data).
 //!
-//! The original uses classified radar traces; per DESIGN.md's substitution
-//! rule we synthesise the same *shape* of computation: each target `t`
+//! The original uses classified radar traces, which are not available, so
+//! this module synthesises the same *shape* of computation: each target `t`
 //! yields many position measurements tagged `t`; a fusion stage combines
 //! same-target measurements; a classification stage flags fused tracks
 //! beyond a threshold.
@@ -105,14 +105,15 @@ pub fn scenario(seed: u64, targets: usize, measurements_per_target: usize) -> Fu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::seq::{run_pipeline, ExecConfig, Selection, Status};
+    use gammaflow_gamma::seq::{run_pipeline, Selection, Status};
+    use gammaflow_gamma::EngineConfig;
 
     #[test]
     fn fusion_reaches_exact_means() {
         for seed in 0..5 {
             let s = scenario(seed, 6, 8);
             let result =
-                run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+                run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
             assert_eq!(result.status, Status::Stable);
             assert_eq!(
                 result.multiset, s.expected,
@@ -127,9 +128,9 @@ mod tests {
         let s = scenario(3, 4, 7);
         let mut results = Vec::new();
         for exec_seed in [0u64, 9, 1234] {
-            let config = ExecConfig {
+            let config = EngineConfig {
                 selection: Selection::Seeded(exec_seed),
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             };
             let r = run_pipeline(&s.pipeline, s.initial.clone(), &config).unwrap();
             results.push(r.multiset);
@@ -142,7 +143,8 @@ mod tests {
     #[test]
     fn targets_never_mix() {
         let s = scenario(42, 2, 4);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         let tracks: Vec<_> = result
             .multiset
             .iter()
@@ -155,7 +157,8 @@ mod tests {
     #[test]
     fn alerts_fire_only_above_threshold() {
         let s = scenario(7, 10, 4);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         for e in result.multiset.iter() {
             if e.label.as_str() == "alert" {
                 let track = result
@@ -171,7 +174,8 @@ mod tests {
     #[test]
     fn single_measurement_targets_skip_fusion() {
         let s = scenario(1, 3, 1);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         assert_eq!(result.multiset, s.expected);
     }
 }

@@ -238,17 +238,17 @@ pub fn interval_merge(intervals: &[(i64, i64)]) -> Workload {
 mod tests {
     use super::*;
     use gammaflow_gamma::{
-        run_parallel, ExecConfig, ParConfig, Scheduling, Selection, SeqInterpreter, Status,
+        run_parallel, EngineConfig, Scheduling, Selection, SeqInterpreter, Status,
     };
 
     fn run_scheduling(w: &Workload, scheduling: Scheduling, selection: Selection) {
         let result = SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection,
                 scheduling,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .unwrap()
@@ -306,7 +306,7 @@ mod tests {
     fn triangle_workload_runs_in_parallel_engine() {
         let w = triangles(4, 6);
         let result =
-            run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
+            run_parallel(&w.program, w.initial.clone(), &EngineConfig::parallel(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset, w.expected);
     }

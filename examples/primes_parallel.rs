@@ -9,7 +9,7 @@
 //! cargo run --release --example primes_parallel [n]
 //! ```
 
-use gammaflow::gamma::{run_parallel, ParConfig, SeqInterpreter, Status};
+use gammaflow::gamma::{run_parallel, EngineConfig, Selection, SeqInterpreter, Status};
 use gammaflow::lang::pretty_program;
 use gammaflow::workloads::primes;
 use std::time::Instant;
@@ -43,10 +43,9 @@ fn main() {
         let par = run_parallel(
             &w.program,
             w.initial.clone(),
-            &ParConfig {
-                workers,
-                seed: 1,
-                ..ParConfig::default()
+            &EngineConfig {
+                selection: Selection::Seeded(1),
+                ..EngineConfig::parallel(workers)
             },
         )
         .unwrap();

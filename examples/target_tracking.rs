@@ -1,6 +1,6 @@
 //! Target-tracking data fusion on the parallel Gamma interpreter — the
-//! application domain of the paper's reference [1], synthesised per
-//! DESIGN.md's substitution rule.
+//! application domain of the paper's reference [1], on synthetic
+//! measurements (the original radar traces are not available).
 //!
 //! Sensor measurements of many targets are fused per-target (tag-grouped
 //! reactions), then classified against an alert threshold. Stage 1 runs on
@@ -10,7 +10,7 @@
 //! cargo run --release --example target_tracking
 //! ```
 
-use gammaflow::gamma::{run_parallel, run_pipeline, ExecConfig, ParConfig, SeqInterpreter};
+use gammaflow::gamma::{run_parallel, run_pipeline, EngineConfig, Selection, SeqInterpreter};
 use gammaflow::workloads::fusion_scenario;
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ fn main() {
 
     // Reference: the whole pipeline sequentially.
     let t0 = Instant::now();
-    let seq = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let seq = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     let seq_time = t0.elapsed();
     println!(
         "sequential pipeline: {} firings in {seq_time:?}",
@@ -40,10 +40,9 @@ fn main() {
         let par = run_parallel(
             fuse_stage,
             s.initial.clone(),
-            &ParConfig {
-                workers,
-                seed: 7,
-                ..ParConfig::default()
+            &EngineConfig {
+                selection: Selection::Seeded(7),
+                ..EngineConfig::parallel(workers)
             },
         )
         .unwrap();

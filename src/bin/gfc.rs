@@ -25,8 +25,8 @@ use gammaflow::core::{
     canonicalize_vars, check_equivalence, dataflow_to_gamma, fuse_all, gamma_to_dataflow,
     CheckConfig,
 };
-use gammaflow::dataflow::engine::{EngineConfig, SeqEngine};
-use gammaflow::gamma::{analyze_reuse, ExecConfig, Selection, SeqInterpreter};
+use gammaflow::dataflow::engine::{EngineConfig as DfConfig, SeqEngine};
+use gammaflow::gamma::{analyze_reuse, EngineConfig, Selection, SeqInterpreter};
 use gammaflow::lang::{parse_multiset, parse_program, pretty_program};
 use gammaflow::multiset::{ElementBag, Symbol};
 use std::process::ExitCode;
@@ -142,7 +142,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
 fn cmd_run_df(args: &Args) -> Result<(), String> {
     let src = read_file(args.positional.first().ok_or("missing <file.mc>")?)?;
     let g = gammaflow::frontend::compile(&src).map_err(|e| e.to_string())?;
-    let result = SeqEngine::with_config(&g, EngineConfig::default())
+    let result = SeqEngine::with_config(&g, DfConfig::default())
         .run()
         .map_err(|e| e.to_string())?;
     println!("status:  {:?}", result.status);
@@ -180,10 +180,10 @@ fn cmd_run_gamma(args: &Args) -> Result<(), String> {
     let src = read_file(args.positional.first().ok_or("missing <file.gamma>")?)?;
     let prog = parse_program(&src).map_err(|e| e.to_string())?;
     let initial = need_multiset(args)?;
-    let config = ExecConfig {
+    let config = EngineConfig {
         record_trace: args.trace,
         selection: Selection::Seeded(args.seed),
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let result = SeqInterpreter::with_config(&prog, initial, config)
         .map_err(|e| e.to_string())?
@@ -293,10 +293,10 @@ fn cmd_reuse(args: &Args) -> Result<(), String> {
     let src = read_file(args.positional.first().ok_or("missing <file.gamma>")?)?;
     let prog = parse_program(&src).map_err(|e| e.to_string())?;
     let initial = need_multiset(args)?;
-    let config = ExecConfig {
+    let config = EngineConfig {
         record_trace: true,
         selection: Selection::Seeded(args.seed),
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let result = SeqInterpreter::with_config(&prog, initial, config)
         .map_err(|e| e.to_string())?

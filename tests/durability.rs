@@ -399,6 +399,50 @@ fn restore_refuses_pre_v4_and_accepts_v4() {
     }
 }
 
+/// A v4 snapshot whose config still carries the retired `guard_eval`
+/// and `seed` keys restores unchanged: the snapshot decoder ignores keys
+/// it does not know, so dropping those two `EngineConfig` fields needs
+/// no `SNAPSHOT_VERSION` bump. The restored session resumes to the same
+/// final and deterministic trace as the uninterrupted run.
+#[test]
+fn v4_snapshot_with_retired_config_keys_resumes_identically() {
+    for (name, program, initial) in &confluent_workloads() {
+        let waves = split_waves(initial, 3);
+        let uninterrupted = run_seq_session(
+            program,
+            &waves,
+            Scheduling::Auto,
+            Selection::Deterministic,
+            None,
+        );
+        let mut session = Session::build(program)
+            .selection(Selection::Deterministic)
+            .record_trace(true)
+            .start(ElementBag::new())
+            .expect("program compiles");
+        assert!(session.inject(waves[0].clone()).is_accepted());
+        session.run_to_stable().expect("wave runs");
+        let json = serde_json::to_string(&session.snapshot_state()).expect("snapshot serializes");
+        assert_eq!(json.matches("\"config\":{").count(), 1, "{name}");
+        let old = json.replace(
+            "\"config\":{",
+            "\"config\":{\"guard_eval\":\"Tree\",\"seed\":7,",
+        );
+        let snap: SessionSnapshot =
+            serde_json::from_str(&old).expect("retired config keys are ignored");
+        assert_eq!(snap.version, 4, "{name}");
+        let mut restored = Session::restore(program, snap).expect("restore succeeds");
+        for wave in &waves[1..] {
+            assert!(restored.inject(wave.clone()).is_accepted());
+            let wv = restored.run_to_stable().expect("restored wave runs");
+            assert_eq!(wv.status, Status::Stable, "{name}");
+        }
+        let resumed = restored.finish();
+        assert_eq!(resumed.multiset, uninterrupted.multiset, "{name}");
+        assert_eq!(resumed.trace, uninterrupted.trace, "{name}");
+    }
+}
+
 /// `Status::BudgetExhausted` is a pause, not a failure: granting more
 /// budget mid-stream and re-running converges to the same final the
 /// unconstrained run computes (sequential engines, every scheduling).

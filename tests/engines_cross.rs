@@ -2,7 +2,7 @@
 //! scenarios on every interpreter, plus language/pipeline plumbing.
 
 use gammaflow::gamma::{
-    run_parallel, run_pipeline, ExecConfig, ParConfig, Selection, SeqInterpreter, Status,
+    run_parallel, run_pipeline, EngineConfig, Selection, SeqInterpreter, Status,
 };
 use gammaflow::lang::{parse_program, pretty_program};
 use gammaflow::workloads::{
@@ -29,7 +29,7 @@ fn classic_workloads_on_both_gamma_engines() {
             assert_eq!(r.multiset, w.expected, "{} seed {seed}", w.name);
         }
         // Parallel engine.
-        let r = run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
+        let r = run_parallel(&w.program, w.initial.clone(), &EngineConfig::parallel(4)).unwrap();
         assert_eq!(r.exec.status, Status::Stable, "{} parallel", w.name);
         assert_eq!(r.exec.multiset, w.expected, "{} parallel", w.name);
     }
@@ -47,7 +47,7 @@ fn deterministic_selection_agrees_on_confluent_programs() {
 #[test]
 fn fusion_scenario_runs_on_pipeline() {
     let s = fusion_scenario(11, 8, 16);
-    let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let result = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     assert_eq!(result.status, Status::Stable);
     assert_eq!(result.multiset, s.expected);
 }
@@ -55,7 +55,7 @@ fn fusion_scenario_runs_on_pipeline() {
 #[test]
 fn image_scenario_runs_on_pipeline() {
     let s = image_scenario(2, 128);
-    let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let result = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     assert_eq!(result.status, Status::Stable);
     assert_eq!(result.multiset, s.expected);
 }
@@ -80,7 +80,7 @@ fn workload_programs_survive_pretty_parse_round_trip() {
 #[test]
 fn parallel_engine_scales_down_to_one_worker() {
     let w = primes(30);
-    let r1 = run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(1)).unwrap();
+    let r1 = run_parallel(&w.program, w.initial.clone(), &EngineConfig::parallel(1)).unwrap();
     assert_eq!(r1.exec.multiset, w.expected);
 }
 
@@ -89,10 +89,10 @@ fn budget_exhaustion_reported_from_sequential_runs() {
     // The sum workload needs n-1 firings; a budget below that must report
     // BudgetExhausted, not hang or lie.
     let w = sum(&(1..=50).collect::<Vec<_>>());
-    let config = ExecConfig {
+    let config = EngineConfig {
         max_steps: 10,
         selection: Selection::Seeded(0),
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let r = SeqInterpreter::with_config(&w.program, w.initial.clone(), config)
         .unwrap()
@@ -105,9 +105,9 @@ fn budget_exhaustion_reported_from_sequential_runs() {
 #[test]
 fn trace_lengths_match_firing_counts() {
     let w = gcd(&[12, 8]);
-    let config = ExecConfig {
+    let config = EngineConfig {
         record_trace: true,
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let r = SeqInterpreter::with_config(&w.program, w.initial.clone(), config)
         .unwrap()

@@ -9,7 +9,7 @@
 use gammaflow::core::{check_equivalence, dataflow_to_gamma, CheckConfig};
 use gammaflow::dataflow::engine::SeqEngine;
 use gammaflow::dataflow::engine_par::{run_parallel as df_parallel, ParEngineConfig};
-use gammaflow::gamma::{run_parallel as gm_parallel, ParConfig, SeqInterpreter};
+use gammaflow::gamma::{run_parallel as gm_parallel, EngineConfig, SeqInterpreter};
 use gammaflow::multiset::FxHashSet;
 use gammaflow::workloads::{accumulator_loop, parallel_loops, random_dag, wide_pairs, DagParams};
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ proptest! {
         let seq = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), seed)
             .run()
             .unwrap();
-        let par = gm_parallel(&conv.program, conv.initial.clone(), &ParConfig::with_workers(workers))
+        let par = gm_parallel(&conv.program, conv.initial.clone(), &EngineConfig::parallel(workers))
             .unwrap();
         let labels: FxHashSet<_> = conv.output_labels.iter().copied().collect();
         prop_assert_eq!(

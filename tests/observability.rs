@@ -16,8 +16,8 @@
 //!    observations and keeps accumulating afterwards.
 
 use gammaflow::gamma::{
-    Engine, GuardEvalMode, JsonlSink, ParEngine, ProfileTable, RingSink, Scheduling, Selection,
-    Session, Status, Tier, TraceEvent, TraceRecord, MAIN_WORKER,
+    Engine, JsonlSink, ParEngine, ProfileTable, RingSink, Scheduling, Selection, Session, Status,
+    Tier, TraceEvent, TraceRecord, MAIN_WORKER,
 };
 use gammaflow::workloads::{cross_sum, divisor_sieve, windowed_sum};
 use std::sync::Arc;
@@ -330,43 +330,6 @@ fn profiling_times_sequential_waves_only_when_asked() {
     // Guard counters flow regardless: the Rete matcher counts evals.
     let evals: u64 = plain.profile().rows.iter().map(|r| r.guard_evals).sum();
     assert!(evals > 0, "guard counters flow without the profile flag");
-}
-
-/// Switching guard evaluation from the tree walk to the bytecode VM
-/// must not change what the guard counters *mean*: the same
-/// deterministic Rete run observes identical per-reaction
-/// `guard_evals` and `guard_rejects` in either mode.
-#[test]
-fn guard_counters_conserve_across_vm_and_tree_walk() {
-    let w = divisor_sieve(60);
-    let observe = |mode: GuardEvalMode| {
-        let mut session = Session::build(&w.program)
-            .scheduling(Scheduling::Rete)
-            .selection(Selection::Deterministic)
-            .guard_eval(mode)
-            .start(w.initial.clone())
-            .expect("program compiles");
-        session.run_to_stable().expect("wave runs");
-        let counters: Vec<(u64, u64)> = session
-            .profile()
-            .rows
-            .iter()
-            .map(|r| (r.guard_evals, r.guard_rejects))
-            .collect();
-        let result = session.finish();
-        assert_eq!(result.multiset, w.expected, "{mode:?}: wrong final");
-        counters
-    };
-    let tree = observe(GuardEvalMode::Tree);
-    let vm = observe(GuardEvalMode::Vm);
-    assert!(
-        tree.iter().any(|(evals, _)| *evals > 0),
-        "the sieve must exercise guards"
-    );
-    assert_eq!(
-        vm, tree,
-        "VM dispatch must bump exactly the counters the tree walk bumps"
-    );
 }
 
 /// Tier-up trace events are the itemised form of the session's tier-up

@@ -6,7 +6,7 @@
 //!   loop trajectory as the nine-reaction version — with one finding the
 //!   paper does not report: the reduced program strands two elements
 //!   (`B16`, `C12` at the exit tag) because `Rd16` needs an `A13` that the
-//!   final iteration never produces. EXPERIMENTS.md discusses this.
+//!   final iteration never produces.
 
 mod common;
 

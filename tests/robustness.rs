@@ -3,7 +3,7 @@
 //! concurrent multiset must agree with the sequential one under random
 //! operation sequences.
 
-use gammaflow::gamma::{ExecConfig, SeqInterpreter};
+use gammaflow::gamma::{EngineConfig, SeqInterpreter};
 use gammaflow::lang::{parse_multiset, parse_program, parse_reaction};
 use gammaflow::multiset::{Element, ElementBag, ShardedBag};
 use proptest::prelude::*;
@@ -68,7 +68,7 @@ fn action_fault_mid_run_stops_cleanly() {
     let prog2 = parse_program("R = replace [x,'n'] by [100 / (x - 1), 'n'] if x > 0").unwrap();
     let initial2: ElementBag = [Element::pair(2, "n")].into_iter().collect();
     // x=2: 100/1 = 100; x=100: 100/99 = 1; x=1: 100/0 -> fault.
-    let err = SeqInterpreter::with_config(&prog2, initial2, ExecConfig::default())
+    let err = SeqInterpreter::with_config(&prog2, initial2, EngineConfig::default())
         .unwrap()
         .run()
         .unwrap_err();
@@ -88,7 +88,7 @@ fn engine_fault_in_parallel_interpreter_is_contained() {
         let r = gammaflow::gamma::run_parallel(
             &prog,
             initial.clone(),
-            &gammaflow::gamma::ParConfig::with_workers(workers),
+            &gammaflow::gamma::EngineConfig::parallel(workers),
         );
         assert!(r.is_err(), "{workers} workers should surface the fault");
     }
@@ -163,9 +163,9 @@ proptest! {
 fn zero_budget_fires_nothing() {
     let prog = parse_program("R = replace [x,'n'] by [x,'m']").unwrap();
     let initial: ElementBag = [Element::pair(1, "n")].into_iter().collect();
-    let config = ExecConfig {
+    let config = EngineConfig {
         max_steps: 0,
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let r = SeqInterpreter::with_config(&prog, initial.clone(), config)
         .unwrap()

@@ -15,8 +15,8 @@
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
-    run_parallel, ExecConfig, ExecResult, GammaProgram, ParConfig, ParEngine, Scheduling,
-    Selection, SeqInterpreter, Status,
+    run_parallel, Engine, EngineConfig, ExecResult, GammaProgram, ParEngine, Scheduling, Selection,
+    SeqInterpreter, Status,
 };
 use gammaflow::multiset::ElementBag;
 use gammaflow::workloads::{
@@ -34,11 +34,11 @@ fn run_with(
     SeqInterpreter::with_config(
         program,
         initial.clone(),
-        ExecConfig {
+        EngineConfig {
             selection,
             scheduling,
             record_trace: true,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         },
     )
     .expect("program compiles")
@@ -326,10 +326,10 @@ fn delta_engine_reaches_expected_results() {
         let result = SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Seeded(3),
                 scheduling: Scheduling::Delta,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .unwrap()
@@ -358,11 +358,11 @@ fn max_parallel_budget_counts_each_firing_once() {
         let (result, _profile) = SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 max_steps: 20,
                 selection: Selection::Deterministic,
                 scheduling,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .unwrap()
@@ -384,10 +384,10 @@ fn max_parallel_steps_agree_across_schedulers() {
         SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Deterministic,
                 scheduling,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .unwrap()
@@ -417,10 +417,10 @@ fn rete_engine_reaches_expected_results_with_stats() {
         let result = SeqInterpreter::with_config(
             &w.program,
             w.initial.clone(),
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Seeded(3),
                 scheduling: Scheduling::Rete,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .unwrap()
@@ -484,12 +484,12 @@ fn watermark_crossing_mid_run_stays_trace_equal() {
     // spilled engine must keep replaying the rescanning reference's
     // exact trace, because frontier-completion enabledness is exact.
     let (program, initial) = expanding_sum(20);
-    let config = ExecConfig {
+    let config = EngineConfig {
         selection: Selection::Deterministic,
         scheduling: Scheduling::Rete,
         record_trace: true,
         rete_watermark: 200,
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
     let rete = SeqInterpreter::with_config(&program, initial.clone(), config.clone())
         .unwrap()
@@ -529,11 +529,11 @@ fn watermark_crossing_mid_run_agrees_seeded() {
             SeqInterpreter::with_config(
                 &program,
                 initial.clone(),
-                ExecConfig {
+                EngineConfig {
                     selection: Selection::Seeded(seed),
                     scheduling,
                     rete_watermark: watermark,
-                    ..ExecConfig::default()
+                    ..EngineConfig::default()
                 },
             )
             .unwrap()
@@ -564,11 +564,11 @@ fn adversarial_cross_sum_peak_tokens_bounded_by_watermark() {
     let result = SeqInterpreter::with_config(
         &w.program,
         w.initial.clone(),
-        ExecConfig {
+        EngineConfig {
             selection: Selection::Seeded(1),
             scheduling: Scheduling::Rete,
             rete_watermark: watermark,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         },
     )
     .unwrap()
@@ -621,11 +621,11 @@ fn parallel_matrix_byte_identical_finals() {
         assert_eq!(reference.status, Status::Stable, "{name}");
         for workers in [1usize, 2, 8] {
             for engine in [ParEngine::ProbeRetry, ParEngine::ShardedRete] {
-                let config = ParConfig {
+                let config = EngineConfig {
                     workers,
-                    engine,
-                    seed: 7,
-                    ..ParConfig::default()
+                    engine: Engine::Parallel(engine),
+                    selection: Selection::Seeded(7),
+                    ..EngineConfig::default()
                 };
                 let result = run_parallel(program, initial.clone(), &config)
                     .unwrap_or_else(|e| panic!("{name} {engine:?} x{workers}: {e}"));
@@ -652,11 +652,10 @@ fn parallel_sharded_per_shard_tokens_bounded_by_watermark() {
     let n = 150i64;
     let w = cross_sum(n);
     let watermark = 1_000usize;
-    let config = ParConfig {
-        workers: 4,
+    let config = EngineConfig {
         rete_watermark: watermark,
-        seed: 1,
-        ..ParConfig::default()
+        selection: Selection::Seeded(1),
+        ..EngineConfig::parallel(4)
     };
     let result = run_parallel(&w.program, w.initial.clone(), &config).unwrap();
     assert_eq!(result.exec.status, Status::Stable);
@@ -682,10 +681,10 @@ fn rete_guard_pushdown_is_observable_on_triangles() {
     let result = SeqInterpreter::with_config(
         &w.program,
         w.initial.clone(),
-        ExecConfig {
+        EngineConfig {
             selection: Selection::Seeded(0),
             scheduling: Scheduling::Rete,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         },
     )
     .unwrap()
@@ -760,11 +759,11 @@ fn large_stream_100k_elements_byte_identical() {
     };
     let rete = run_session(Scheduling::Rete, &initial, 100_000);
 
-    let config = ParConfig {
+    let config = EngineConfig {
         workers: 4,
-        engine: ParEngine::ShardedRete,
-        seed: 7,
-        ..ParConfig::default()
+        engine: Engine::Parallel(ParEngine::ShardedRete),
+        selection: Selection::Seeded(7),
+        ..EngineConfig::default()
     };
     let par = run_parallel(&program, initial.clone(), &config).expect("parallel run succeeds");
     assert_eq!(par.exec.status, Status::Stable);

@@ -15,13 +15,14 @@
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
-    run_pipeline, Engine, ExecConfig, GammaProgram, ParEngine, Scheduling, Selection,
-    SeqInterpreter, Session, Status,
+    run_pipeline, Engine, EngineConfig, GammaProgram, ParEngine, Scheduling, Selection,
+    SeqInterpreter, Session, Status, WorkerPool,
 };
 use gammaflow::multiset::{Element, ElementBag};
 use gammaflow::workloads::{
     cross_sum, divisor_sieve, interval_merge, random_dag, triangles, windowed_sum, DagParams,
 };
+use std::sync::Arc;
 
 /// Deterministic round-robin split of a bag into `k` injection waves.
 fn split_waves(bag: &ElementBag, k: usize) -> Vec<Vec<Element>> {
@@ -76,10 +77,10 @@ fn seq_session_waves_match_one_shot_finals() {
                 let one_shot = SeqInterpreter::with_config(
                     program,
                     initial.clone(),
-                    ExecConfig {
+                    EngineConfig {
                         selection,
                         scheduling,
-                        ..ExecConfig::default()
+                        ..EngineConfig::default()
                     },
                 )
                 .expect("program compiles")
@@ -156,11 +157,11 @@ fn deterministic_one_wave_session_replays_interpreter_trace() {
             let reference = SeqInterpreter::with_config(
                 program,
                 initial.clone(),
-                ExecConfig {
+                EngineConfig {
                     selection: Selection::Deterministic,
                     scheduling,
                     record_trace: true,
-                    ..ExecConfig::default()
+                    ..EngineConfig::default()
                 },
             )
             .expect("program compiles")
@@ -237,10 +238,10 @@ fn deterministic_session_waves_replay_rebuild_traces() {
         let rebuild = SeqInterpreter::with_config(
             &w.program,
             bag,
-            ExecConfig {
+            EngineConfig {
                 selection: Selection::Deterministic,
                 record_trace: true,
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             },
         )
         .expect("program compiles")
@@ -288,9 +289,9 @@ fn pipeline_absorbs_scheduler_stats_across_stages() {
     let delta = run_pipeline(
         &pipeline,
         initial.clone(),
-        &ExecConfig {
+        &EngineConfig {
             scheduling: Scheduling::Delta,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         },
     )
     .expect("pipeline runs");
@@ -306,7 +307,7 @@ fn pipeline_absorbs_scheduler_stats_across_stages() {
     );
 
     // Rete scheduling (the default): the merged network counters arrive.
-    let rete = run_pipeline(&pipeline, initial, &ExecConfig::default()).expect("pipeline runs");
+    let rete = run_pipeline(&pipeline, initial, &EngineConfig::default()).expect("pipeline runs");
     assert_eq!(rete.status, Status::Stable);
     let rete_stats = rete
         .rete
@@ -379,4 +380,43 @@ fn wave_records_sum_to_cumulative_stats() {
         per_wave_fired.iter().sum::<u64>()
     );
     assert_eq!(result.multiset, w.expected);
+}
+
+/// A zero-size worker pool owns no thread and refuses every lease, so
+/// each parallel wave on it spawns its own scoped workers (the
+/// spawn-per-wave baseline). A sharded session on it reaches the same
+/// final as one on the global parked pool.
+#[test]
+fn zero_size_pool_refuses_every_lease_and_matches_the_global_pool() {
+    let w = windowed_sum(3, 2, 4, 7);
+    let run = |pool: Arc<WorkerPool>| {
+        let mut session = Session::build(&w.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(2)
+            .worker_pool(pool)
+            .start(w.initial.clone())
+            .expect("program compiles");
+        session.run_to_stable().expect("wave runs");
+        for wave in &w.waves {
+            assert!(session.inject(wave.iter().cloned()).is_accepted());
+            let wv = session.run_to_stable().expect("wave runs");
+            assert_eq!(wv.status, Status::Stable);
+        }
+        session.finish_parallel()
+    };
+
+    let zero = WorkerPool::new(0);
+    assert_eq!(zero.size(), 0);
+    let on_zero = run(Arc::clone(&zero));
+    assert_eq!(on_zero.par.pool_leases, 0, "{:?}", on_zero.par);
+    assert!(on_zero.par.pool_spawns > 0, "{:?}", on_zero.par);
+    assert_eq!(
+        zero.lease_stats(),
+        (0, on_zero.par.pool_spawns),
+        "every wave's lease is refused and counted"
+    );
+
+    let on_global = run(Arc::clone(WorkerPool::global()));
+    assert_eq!(on_zero.exec.multiset, w.expected);
+    assert_eq!(on_zero.exec.multiset, on_global.exec.multiset);
 }

@@ -17,14 +17,14 @@
 //!    every path, in guard context (condition false) and action context
 //!    (surfaced `MatchError`) alike.
 //! 3. **Forced mid-run tier-up**: on the sieve/cross-sum workloads, a
-//!    session tiered up after its first wave (threshold 1) must produce
-//!    byte-identical finals — and, on the sequential engines,
-//!    the exact deterministic firing trace — as the tree-walk run and
-//!    the never-tiering VM run, across the full scheduler × engine ×
-//!    workers {1, 2, 8} matrix.
+//!    session tiered up after its first wave (threshold 1) and a
+//!    never-tiering one must both land on the workload's self-check
+//!    final — and, on the sequential engines, replay the exact
+//!    deterministic firing trace of the rescanning reference — across
+//!    the full scheduler × engine × workers {1, 2, 8} matrix.
 
 use gammaflow::gamma::expr::Expr;
-use gammaflow::gamma::vm::{fold, Chunk, GuardEvalMode};
+use gammaflow::gamma::vm::{fold, Chunk};
 use gammaflow::gamma::{
     Engine, GammaProgram, ParEngine, Scheduling, Selection, Session, Status, Tier,
 };
@@ -273,11 +273,11 @@ fn division_edges_are_defined_and_identical_everywhere() {
     }
 }
 
-/// Action-context division by zero surfaces the same defined error
-/// through a full engine run in both evaluation modes (never a panic).
+/// Action-context division by zero surfaces through a full engine run
+/// (never a panic) as exactly the error the [`Expr`] tree walk gives.
 #[test]
-fn action_division_by_zero_errors_identically_in_both_modes() {
-    use gammaflow::gamma::{ElementSpec, Pattern, ReactionSpec};
+fn action_division_by_zero_errors_match_expr_eval() {
+    use gammaflow::gamma::{ElementSpec, ExecError, MatchError, Pattern, ReactionSpec};
     // `replace x by x / 0` — the action errors on the first firing.
     let program = GammaProgram::new(vec![ReactionSpec::new("bad")
         .replace(Pattern::pair("x", "n"))
@@ -286,18 +286,22 @@ fn action_division_by_zero_errors_identically_in_both_modes() {
             "m",
         )])]);
     let initial: ElementBag = [Element::pair(6, "n")].into_iter().collect();
-    let mut errors = Vec::new();
-    for mode in [GuardEvalMode::Tree, GuardEvalMode::Vm] {
-        let mut session = Session::build(&program)
-            .guard_eval(mode)
-            .start(initial.clone())
-            .expect("program compiles");
-        let err = session
-            .run_to_stable()
-            .expect_err("division by zero must surface, not panic");
-        errors.push(format!("{err:?}"));
-    }
-    assert_eq!(errors[0], errors[1], "modes rendered different errors");
+    let mut session = Session::build(&program)
+        .start(initial)
+        .expect("program compiles");
+    let err = session
+        .run_to_stable()
+        .expect_err("division by zero must surface, not panic");
+    let env: FxHashMap<Symbol, Value> =
+        [(Symbol::intern("x"), Value::Int(6))].into_iter().collect();
+    let tree = Expr::bin(BinOp::Div, Expr::var("x"), Expr::int(0))
+        .eval(&env)
+        .expect_err("the tree walk errors too");
+    let expected = ExecError::Match(MatchError::Action {
+        reaction: "bad".to_string(),
+        error: tree,
+    });
+    assert_eq!(format!("{err:?}"), format!("{expected:?}"));
 }
 
 /// Round-robin split of a bag into `k` injection waves.
@@ -316,16 +320,14 @@ struct RunOutcome {
     any_optimized: bool,
 }
 
-/// Run `program` as a 3-wave session under the given engine/mode/tiering
+/// Run `program` as a 3-wave session under the given engine/tiering
 /// config, recording the deterministic trace on sequential engines.
-#[allow(clippy::too_many_arguments)]
 fn run_waves(
     program: &GammaProgram,
     initial: &ElementBag,
     engine: Engine,
     scheduling: Scheduling,
     workers: usize,
-    mode: GuardEvalMode,
     threshold: u64,
 ) -> RunOutcome {
     let seq = matches!(engine, Engine::Seq);
@@ -333,7 +335,6 @@ fn run_waves(
         .engine(engine)
         .scheduling(scheduling)
         .workers(workers)
-        .guard_eval(mode)
         .vm_tier_threshold(threshold);
     if seq {
         builder = builder
@@ -360,11 +361,21 @@ fn run_waves(
 /// The tentpole acceptance property: a forced mid-run tier-up (threshold
 /// 1, so every reaction re-compiles after the first wave) preserves
 /// byte-identical finals and, on the deterministic sequential engines,
-/// the exact firing trace — against both the tree walk and the
-/// never-tiering VM — across scheduler × engine × workers {1, 2, 8}.
+/// the exact firing trace — the never-tiering and the tiered run both
+/// land on the workload's self-check and replay the rescanning
+/// reference's trace — across scheduler × engine × workers {1, 2, 8}.
 #[test]
 fn forced_mid_run_tier_up_preserves_traces_and_finals() {
     for w in [divisor_sieve(80), cross_sum(48)] {
+        let reference = run_waves(
+            &w.program,
+            &w.initial,
+            Engine::Seq,
+            Scheduling::Rescan,
+            1,
+            u64::MAX,
+        );
+        assert!(reference.trace.is_some(), "{}: no reference trace", w.name);
         let mut cells: Vec<(String, Engine, Scheduling, usize)> = Vec::new();
         for scheduling in [
             Scheduling::Rescan,
@@ -386,42 +397,39 @@ fn forced_mid_run_tier_up_preserves_traces_and_finals() {
         }
         for (cell, engine, scheduling, workers) in cells {
             let name = format!("{} {cell}", w.name);
-            let run = |mode, threshold| {
+            let run = |threshold| {
                 run_waves(
-                    &w.program, &w.initial, engine, scheduling, workers, mode, threshold,
+                    &w.program, &w.initial, engine, scheduling, workers, threshold,
                 )
             };
-            let tree = run(GuardEvalMode::Tree, u64::MAX);
-            let vm = run(GuardEvalMode::Vm, u64::MAX);
-            let tiered = run(GuardEvalMode::Vm, 1);
+            let vm = run(u64::MAX);
+            let tiered = run(1);
 
             // The tier-up genuinely happened mid-run (after wave 1 of 3).
             assert!(tiered.tier_ups > 0, "{name}: no tier-up at threshold 1");
             assert!(tiered.any_optimized, "{name}: no reaction optimised");
-            assert_eq!(tree.tier_ups, 0, "{name}: tree mode must never tier");
             assert_eq!(vm.tier_ups, 0, "{name}: threshold MAX must never tier");
 
             // Byte-identical finals at every tier, equal to the
             // workload's self-check.
-            assert_eq!(tree.multiset, w.expected, "{name}: tree final wrong");
-            assert_eq!(vm.multiset, tree.multiset, "{name}: VM final diverged");
-            assert_eq!(
-                tiered.multiset, tree.multiset,
-                "{name}: tiered final diverged"
-            );
+            assert_eq!(vm.multiset, w.expected, "{name}: VM final wrong");
+            assert_eq!(tiered.multiset, w.expected, "{name}: tiered final wrong");
 
-            // Deterministic trace equality on the sequential engines.
+            // Deterministic trace equality with the rescanning reference
+            // on the sequential engines.
             if matches!(engine, Engine::Seq) {
-                assert_eq!(vm.trace, tree.trace, "{name}: VM trace diverged");
-                assert_eq!(tiered.trace, tree.trace, "{name}: tiered trace diverged");
+                assert_eq!(vm.trace, reference.trace, "{name}: VM trace diverged");
+                assert_eq!(
+                    tiered.trace, reference.trace,
+                    "{name}: tiered trace diverged"
+                );
             }
         }
     }
 }
 
 /// Tier-up re-sorts each level's conjunct dispatch order by observed
-/// rejects (most-rejecting conjunct first), shared by both evaluator
-/// arms. A guard whose program-order-first conjunct never rejects stops
+/// rejects (most-rejecting conjunct first). A guard whose program-order-first conjunct never rejects stops
 /// paying for it once the reaction tiers: the almost-always-rejecting
 /// second conjunct short-circuits first, so wave-2 `guard_evals` drop
 /// strictly below the never-tiering baseline — while `guard_rejects`,
@@ -460,7 +468,6 @@ fn tier_up_reorders_guard_dispatch_by_observed_rejects() {
         let mut session = Session::build(&program)
             .scheduling(Scheduling::Rete)
             .selection(Selection::Deterministic)
-            .guard_eval(GuardEvalMode::Vm)
             .vm_tier_threshold(threshold)
             .start(ElementBag::new())
             .expect("program compiles");
