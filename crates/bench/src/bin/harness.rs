@@ -914,16 +914,45 @@ fn s3() {
 
 // ------------------------------------------------------------------ S4 ----
 
-/// One (workload, worker-count) comparison between the parallel engines
-/// in BENCH_parallel.json.
+/// Median and quartiles of a sample set.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Spread {
+        let mut s = samples.to_vec();
+        s.sort_by(f64::total_cmp);
+        let at = |q: f64| s[((s.len() - 1) as f64 * q).round() as usize];
+        Spread {
+            median: at(0.5),
+            q1: at(0.25),
+            q3: at(0.75),
+        }
+    }
+}
+
+/// One (workload, worker-count) row of BENCH_parallel.json: the sharded
+/// engine against an in-run sequential `Scheduling::Auto` session on the
+/// same program and seed, from interleaved sample pairs.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct ParallelRow {
     workload: String,
     workers: usize,
     firings: u64,
-    probe_retry: EngineRow,
-    sharded_rete: EngineRow,
-    sharded_speedup_vs_probe: f64,
+    samples: usize,
+    /// Firings/s of the sequential `Scheduling::Auto` reference.
+    seq_auto_fps: Spread,
+    /// Firings/s of the sharded engine.
+    sharded_fps: Spread,
+    /// Per-pair ratio sharded / sequential-Auto firings/s.
+    ratio_vs_seq_auto: Spread,
+    /// Reactions the sharded run served from Rete slices / by search.
+    rete_reactions: usize,
+    search_reactions: usize,
     /// Maximum per-worker peak live beta tokens across the sharded run's
     /// slices — the recorded evidence that the per-shard watermark held.
     max_shard_peak_tokens: u64,
@@ -939,30 +968,32 @@ struct ParallelReport {
 
 fn parallel_fps_series(rows: &[ParallelRow]) -> Vec<(String, f64)> {
     rows.iter()
-        .flat_map(|r| {
-            [
-                (
-                    format!("{}/w{}/probe_retry", r.workload, r.workers),
-                    r.probe_retry.firings_per_sec,
-                ),
-                (
-                    format!("{}/w{}/sharded_rete", r.workload, r.workers),
-                    r.sharded_rete.firings_per_sec,
-                ),
-            ]
+        .map(|r| {
+            (
+                format!("{}/w{}/sharded", r.workload, r.workers),
+                r.sharded_fps.median,
+            )
         })
         .collect()
 }
 
-/// S4: the delta-driven sharded-rete parallel engine vs the sampled
-/// probe-retry baseline, swept over worker counts. Every run's final
-/// multiset is asserted byte-identical to the sequential reference (the
-/// workloads are confluent), and the sharded runs' per-worker peak beta
-/// token counts are recorded so the per-shard watermark bound is part of
-/// the committed evidence. Results go to `BENCH_parallel.json`.
+/// S4: the sharded parallel engine, swept over worker counts, against a
+/// sequential `Scheduling::Auto` session on the same program and seed,
+/// measured as interleaved (sequential, sharded) sample pairs and stored
+/// as ratios with median and quartiles. Every run's final multiset is
+/// asserted byte-identical to the deterministic sequential reference
+/// (the workloads are confluent), and the sharded runs' per-worker peak
+/// beta token counts are recorded so the per-shard watermark bound is
+/// part of the committed evidence. Results go to `BENCH_parallel.json`.
 fn s4() {
-    use gammaflow_gamma::{EngineConfig, ParEngine, Selection, Status};
-    banner("S4", "Sharded-rete parallel engine vs probe-retry baseline");
+    use gammaflow_gamma::{
+        EngineConfig, Matcher, ParEngine, Scheduling, Selection, Session, Status,
+    };
+    banner(
+        "S4",
+        "Sharded parallel engine vs sequential Auto (interleaved ratios)",
+    );
+    const SAMPLES: usize = 5;
 
     // The headline workload: 16 independent Fig. 2 loops (tags advance
     // every iteration, so alpha-shard ownership rotates across workers)
@@ -977,13 +1008,13 @@ fn s4() {
     ];
 
     println!(
-        "{:<24} {:>3} {:>9} {:>14} {:>14} {:>9} {:>10}",
-        "workload", "w", "firings", "probe f/s", "sharded f/s", "speedup", "peak tok"
+        "{:<24} {:>3} {:>9} {:>12} {:>12} {:>22} {:>10}",
+        "workload", "w", "firings", "seq f/s", "sharded f/s", "ratio [q1-q3]", "peak tok"
     );
     let mut rows = Vec::new();
     for (name, program, initial) in &workloads {
-        // Sequential reference final (deterministic rete): the byte-
-        // identical target for every parallel run.
+        // Sequential reference final (deterministic): the byte-identical
+        // target for every run.
         let reference = SeqInterpreter::with_config(
             program,
             initial.clone(),
@@ -998,59 +1029,74 @@ fn s4() {
         assert_eq!(reference.status, Status::Stable);
 
         for workers in [1usize, 2, 4, 8] {
-            let mut engine_rows: Vec<(EngineRow, u64)> = Vec::new();
-            for engine in [ParEngine::ProbeRetry, ParEngine::ShardedRete] {
-                let config = EngineConfig {
-                    workers,
-                    selection: Selection::Seeded(1),
-                    engine: Engine::Parallel(engine),
-                    ..EngineConfig::default()
-                };
-                let mut firings = 0u64;
-                let mut peak = 0u64;
-                let secs = time_median(3, || {
-                    let result = gm_parallel(program, initial.clone(), &config)
-                        .expect("parallel run succeeds");
-                    assert_eq!(result.exec.status, Status::Stable, "{name}");
-                    assert_eq!(
-                        result.exec.multiset, reference.multiset,
-                        "{name} x{workers} {engine:?}: finals diverged"
-                    );
-                    firings = result.exec.stats.firings_total();
-                    peak = result
-                        .par
-                        .shard_peak_tokens
-                        .iter()
-                        .copied()
-                        .max()
-                        .unwrap_or(0);
-                }) / 1e3;
-                engine_rows.push((
-                    EngineRow {
-                        seconds: secs,
-                        firings,
-                        firings_per_sec: firings as f64 / secs,
-                    },
-                    peak,
-                ));
+            let seq_config = EngineConfig {
+                scheduling: Scheduling::Auto,
+                selection: Selection::Seeded(1),
+                ..EngineConfig::default()
+            };
+            let par_config = EngineConfig {
+                workers,
+                engine: Engine::Parallel(ParEngine::ShardedRete),
+                ..seq_config.clone()
+            };
+            let mut firings = 0u64;
+            let mut peak = 0u64;
+            let mut matchers: Vec<Matcher> = Vec::new();
+            let mut timed = |config: &EngineConfig| -> f64 {
+                let t = Instant::now();
+                let mut session = Session::build(program)
+                    .config(config.clone())
+                    .start(initial.clone())
+                    .expect("program compiles");
+                let wave = session.run_to_stable().expect("run succeeds");
+                let secs = t.elapsed().as_secs_f64();
+                assert_eq!(wave.status, Status::Stable, "{name}");
+                if matches!(config.engine, Engine::Parallel(_)) {
+                    matchers = session.matchers().unwrap_or_default();
+                }
+                let result = session.finish_parallel();
+                assert_eq!(
+                    result.exec.multiset, reference.multiset,
+                    "{name} x{workers} {:?}: finals diverged",
+                    config.engine
+                );
+                firings = result.exec.stats.firings_total();
+                if let Some(p) = result.par.shard_peak_tokens.iter().copied().max() {
+                    peak = p;
+                }
+                firings as f64 / secs
+            };
+            let (mut seq_fps, mut par_fps, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..SAMPLES {
+                let s = timed(&seq_config);
+                let p = timed(&par_config);
+                seq_fps.push(s);
+                par_fps.push(p);
+                ratio.push(p / s);
             }
-            let (probe, _) = engine_rows.remove(0);
-            let (sharded, peak) = engine_rows.remove(0);
-            let speedup = sharded.firings_per_sec / probe.firings_per_sec;
-            println!(
-                "{name:<24} {workers:>3} {:>9} {:>14.0} {:>14.0} {:>8.2}x {:>10}",
-                sharded.firings, probe.firings_per_sec, sharded.firings_per_sec, speedup, peak
-            );
-            rows.push(ParallelRow {
+            let row = ParallelRow {
                 workload: name.clone(),
                 workers,
-                firings: sharded.firings,
-                probe_retry: probe,
-                sharded_rete: sharded,
-                sharded_speedup_vs_probe: speedup,
+                firings,
+                samples: SAMPLES,
+                seq_auto_fps: Spread::of(&seq_fps),
+                sharded_fps: Spread::of(&par_fps),
+                ratio_vs_seq_auto: Spread::of(&ratio),
+                rete_reactions: matchers.iter().filter(|&&m| m == Matcher::Rete).count(),
+                search_reactions: matchers.iter().filter(|&&m| m == Matcher::Search).count(),
                 max_shard_peak_tokens: peak,
                 identical_final_multiset: true,
-            });
+            };
+            println!(
+                "{name:<24} {workers:>3} {firings:>9} {:>12.0} {:>12.0} {:>6.3}x [{:.3}-{:.3}] {:>10}",
+                row.seq_auto_fps.median,
+                row.sharded_fps.median,
+                row.ratio_vs_seq_auto.median,
+                row.ratio_vs_seq_auto.q1,
+                row.ratio_vs_seq_auto.q3,
+                peak
+            );
+            rows.push(row);
         }
     }
 
@@ -1380,10 +1426,7 @@ fn s6() {
     let values: Vec<i64> = (1..=2048).collect();
     let fold = sum(&values);
     let mut rows = Vec::new();
-    for (engine_name, engine) in [
-        ("sharded_rete", ParEngine::ShardedRete),
-        ("probe_retry", ParEngine::ProbeRetry),
-    ] {
+    for (engine_name, engine) in [("sharded_rete", ParEngine::ShardedRete)] {
         for workers in [2usize, 4] {
             let run = |faults: Option<FaultPlan>| {
                 let mut builder = Session::build(&fold.program)

@@ -220,19 +220,19 @@ pub mod baseline {
             // BENCH_parallel.json-style keys: workload × worker count ×
             // engine. Every regressed cell must be reported, across rows.
             let committed = series(&[
-                ("loops/w1/probe_retry", 80_000.0),
+                ("loops/w1/seq_auto", 80_000.0),
                 ("loops/w1/sharded_rete", 400_000.0),
-                ("loops/w8/probe_retry", 75_000.0),
+                ("loops/w8/seq_auto", 75_000.0),
                 ("loops/w8/sharded_rete", 380_000.0),
-                ("sum/w8/probe_retry", 30_000.0),
+                ("sum/w8/seq_auto", 30_000.0),
                 ("sum/w8/sharded_rete", 10_000.0),
             ]);
             let fresh = series(&[
-                ("loops/w1/probe_retry", 79_000.0),   // within tolerance
+                ("loops/w1/seq_auto", 79_000.0),      // within tolerance
                 ("loops/w1/sharded_rete", 200_000.0), // regression
-                ("loops/w8/probe_retry", 76_000.0),   // improvement
+                ("loops/w8/seq_auto", 76_000.0),      // improvement
                 ("loops/w8/sharded_rete", 100_000.0), // regression
-                ("sum/w8/probe_retry", 31_000.0),
+                ("sum/w8/seq_auto", 31_000.0),
                 ("sum/w8/sharded_rete", 9_500.0), // within tolerance
                 ("sum/w16/sharded_rete", 1.0),    // new cell: ignored
             ]);

@@ -114,7 +114,7 @@ impl LabelFilter {
 /// Read access to a multiset for match search.
 ///
 /// The sequential interpreter searches an [`ElementBag`] directly; the
-/// parallel interpreter searches a sharded bag through a sampled view
+/// parallel interpreter searches its sharded bag through exact views
 /// (stale reads are fine — claims re-validate atomically). Making the
 /// search generic keeps one matching implementation for both engines.
 pub trait MatchSource {
@@ -1383,20 +1383,39 @@ impl CompiledReaction {
         conjuncts + plan.clause_disjunction.map_or(0, |d| d.len()) == 1
     }
 
+    /// The `(label, literal tag)` of both positions of a
+    /// [`Self::search_eligible`] reaction: the buckets a search of it can
+    /// read (every tag of the label when the tag is not literal).
+    pub(crate) fn search_buckets(&self) -> [(Symbol, Option<Tag>); 2] {
+        debug_assert!(self.search_eligible());
+        let bucket = |pat: &CompiledPattern| match pat.label {
+            LabelFilter::Exact(label) => (label, pat.tag_lit),
+            _ => unreachable!("eligible positions have literal labels"),
+        };
+        [bucket(&self.positions[0]), bucket(&self.positions[1])]
+    }
+
     /// The larger number of distinct candidate rows (across tags) of the
-    /// two positions of a [`Self::search_eligible`] reaction in `bag`.
-    pub(crate) fn candidate_rows(&self, bag: &ElementBag) -> usize {
+    /// two positions of a [`Self::search_eligible`] reaction in `bag`
+    /// (0 for a source that keeps no in-place buckets).
+    pub(crate) fn candidate_rows<S: MatchSource>(&self, bag: &S) -> usize {
         self.positions
             .iter()
             .map(|pat| {
                 let LabelFilter::Exact(label) = pat.label else {
                     return 0;
                 };
-                bag.tags_for(label)
-                    .filter(|&t| pat.tag_lit.is_none_or(|lit| lit == t))
-                    .filter_map(|t| bag.bucket(label, t))
-                    .map(|b| b.distinct_len())
-                    .sum::<usize>()
+                let mut rows = 0;
+                bag.visit_tags(label, &mut |t| {
+                    if pat.tag_lit.is_none_or(|lit| lit == t) {
+                        rows += bag
+                            .bucket_in_place(label, t)
+                            .flatten()
+                            .map_or(0, |b| b.distinct_len());
+                    }
+                    true
+                });
+                rows
             })
             .max()
             .unwrap_or(0)
@@ -1405,14 +1424,16 @@ impl CompiledReaction {
     /// Estimate the guard pass rate of a [`Self::search_eligible`]
     /// reaction from `samples` candidate pairs of `bag`, returning the
     /// rate and the larger candidate count `n` (distinct rows) of the
-    /// two positions, or `None` when `bag` holds no candidate pair.
+    /// two positions, or `None` when `bag` holds no candidate pair or
+    /// keeps no in-place buckets to sample from.
     ///
     /// The sample is a pure function of the program and the bag's
-    /// content: candidates are sorted before a fixed-seed draw, so the
-    /// bag's insertion order does not move the estimate.
-    pub(crate) fn sample_pass_rate(
+    /// content: candidates are sorted before a fixed-seed draw, so
+    /// neither the bag's insertion order nor its sharding moves the
+    /// estimate.
+    pub(crate) fn sample_pass_rate<S: MatchSource>(
         &self,
-        bag: &ElementBag,
+        bag: &S,
         samples: usize,
     ) -> Option<(f64, usize)> {
         use rand::SeedableRng;
@@ -1421,22 +1442,31 @@ impl CompiledReaction {
             let LabelFilter::Exact(label) = pat.label else {
                 unreachable!("eligible positions have literal labels")
             };
+            let mut tags: Vec<Tag> = Vec::new();
+            bag.visit_tags(label, &mut |t| {
+                tags.push(t);
+                true
+            });
             let mut out: Vec<(Tag, &Value, usize)> = Vec::new();
-            for tag in bag.tags_for(label) {
+            for tag in tags {
                 if pat.tag_lit.is_some_and(|t| t != tag) {
                     continue;
                 }
-                for (value, count) in bag.values_with_counts(label, tag) {
+                for (value, count) in bag
+                    .bucket_in_place(label, tag)?
+                    .into_iter()
+                    .flat_map(|b| b.iter_counts())
+                {
                     if pat.value_lit.as_ref().is_none_or(|v| v == value) {
                         out.push((tag, value, count));
                     }
                 }
             }
             out.sort_unstable_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)));
-            (label, out)
+            Some((label, out))
         };
-        let (la, ca) = candidates(&self.positions[0]);
-        let (lb, cb) = candidates(&self.positions[1]);
+        let (la, ca) = candidates(&self.positions[0])?;
+        let (lb, cb) = candidates(&self.positions[1])?;
         if ca.is_empty() || cb.is_empty() {
             return None;
         }

@@ -39,7 +39,7 @@ pub const ENABLED: bool = cfg!(feature = "fault-inject");
 pub enum Fault {
     /// Worker `worker` panics immediately after completing its
     /// `at_firing`-th successful firing of the wave. Exercises the
-    /// `catch_unwind` + wave-replay path in both parallel engines.
+    /// `catch_unwind` + wave-replay path of the parallel engine.
     WorkerPanic {
         /// Worker index to kill.
         worker: usize,

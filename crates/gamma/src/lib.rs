@@ -33,9 +33,9 @@
 //! * [`seq`] — the sequential interpreter (seeded nondeterminism, exact
 //!   steady-state termination, firing traces, maximal-parallel-step mode).
 //! * [`parallel`] — a shared-memory parallel interpreter over a sharded
-//!   multiset: delta-driven workers each owning a slice of the rete
-//!   network (the default), with the optimistic probe-and-retry loop
-//!   kept as the measurable baseline.
+//!   multiset: delta-driven workers each owning a dependency component,
+//!   serving its reactions by a slice of the rete network or by exact
+//!   in-place search, per reaction, as a sequential session would.
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`])
 //!   for exercising the crash-recovery paths; compiled out unless the
 //!   `fault-inject` cargo feature is enabled.

@@ -2,90 +2,82 @@
 //!
 //! The paper (§II-B) surveys Gamma implementations on the Connection
 //! Machine, MasPar, MPI clusters and GPUs; this module is the workspace's
-//! substitute — a shared-memory engine whose workers realise the model's
-//! "reactions occur freely and in parallel". Two engines share the
-//! multiset substrate (a [`ShardedBag`] plus a **key directory**, an
-//! append-only `(label → tags)` map giving workers a lock-light view of
-//! which buckets exist):
+//! substitute — one shared-memory engine whose workers realise the
+//! model's "reactions occur freely and in parallel" over a [`ShardedBag`]
+//! plus a **key directory** (an append-only `(label → tags)` map giving
+//! workers a lock-light view of which buckets exist).
 //!
-//! # The sharded-rete engine ([`ParEngine::ShardedRete`], the default)
-//!
-//! The Rete network of [`crate::rete`] is partitioned across the
-//! workers by a static [`SlicePlan`]: reactions
-//! are grouped into *dependency components* (union–find over consumed ∪
-//! produced label classes) and each component — with every label it
-//! touches — is assigned to one worker; labels outside every component
-//! fall back to the bag's own shard map
-//! ([`gammaflow_multiset::shard_index`]). Each worker maintains a
-//! **slice** of the network ([`AlphaSlice`]) that materialises exactly
-//! the tokens whose join-order *position-0* element carries a label the
-//! worker owns. Deeper join levels complete **cross-shard** by reading
-//! candidates from the live bag through the shared [`MatchSource`]
-//! search core, so the union of the slices is the full network — every
-//! enabled match memorised by exactly one worker. (Component ownership
-//! is the Gamma image of the dataflow machines the paper surveys: a
-//! label is an instruction edge, the tag its loop iteration, and
-//! instructions are assigned to PEs statically, so a loop's firing
-//! chain never migrates between workers.)
-//!
+//! * **Ownership** — a static [`SlicePlan`] groups reactions into
+//!   *dependency components* (union–find over consumed ∪ produced label
+//!   classes) and assigns each component — with every label it touches —
+//!   to one worker; labels outside every component fall back to the
+//!   bag's own shard map ([`gammaflow_multiset::shard_index`]). This is
+//!   the Gamma image of the dataflow machines the paper surveys: a label
+//!   is an instruction edge, the tag its loop iteration, and
+//!   instructions are assigned to PEs statically, so a loop's firing
+//!   chain never migrates between workers.
+//! * **Per-reaction matcher** — each reaction is served by the Rete
+//!   network or by exact search, chosen exactly as in a sequential
+//!   session (the one `MatcherChoices` state of [`crate::schedule`]:
+//!   `Scheduling::Rete`, `Scheduling::Delta`, or `Scheduling::Auto`'s
+//!   cost rule with its wave-boundary re-decision). Rete-served
+//!   reactions are memorised in per-worker **slices** of the network of
+//!   [`crate::rete`]: a slice ([`AlphaSlice`]) materialises exactly the
+//!   tokens whose join-order *position-0* element carries a label the
+//!   worker owns, and deeper join levels complete **cross-shard** by
+//!   reading candidates from the live bag through the shared
+//!   [`MatchSource`] search core, so the union of the slices is the
+//!   full network. A search-served reaction
+//!   (e.g. the paper's dense `sum` fold, which a join network pays `n`
+//!   tokens per firing for) sits in its component owner's **dirty set**
+//!   and is searched exactly when picked: a search-eligible reaction
+//!   reads at most its two positions' buckets, so it draws their rows
+//!   lazily in place under their shard locks, taken in claim order.
 //! * **Delta mailboxes** — a successful claim publishes the firing's
 //!   *net* delta over per-worker crossbeam channels, addressed to the
-//!   workers whose slices can be affected (tokens involving a label
-//!   live only in its owner's slice, so most firings address a single
-//!   mailbox; a wildcard consumer forces full broadcast). Each worker
-//!   drains its mailbox before matching, keeping its slice
-//!   incrementally consistent. Discovery of enabled reactions is
-//!   O(delta): a drained slice answers enabledness by memory read (or a
-//!   cached spill probe), never by search. This replaces the
-//!   probe-retry engine's heuristic dirty-flag broadcast.
-//! * **Claims** — firings are still validated by the atomic
-//!   [`ShardedBag::claim_and_replace`]; a slice that raced a concurrent
-//!   claimant simply loses the claim and retires the stale token when
-//!   the winner's delta arrives.
-//! * **Work stealing** — a worker whose slice is dry pops globally woken
-//!   reactions from a [`ShardedWorklist`] and searches them on the
-//!   *sampled* probe-retry view (claims re-validate, so thieves are
-//!   pure heuristic rebalancing for skewed partitions — e.g. a
-//!   single-bucket fold whose every key one worker owns).
-//! * **Termination** — exact, from *empty sharded memories*: when every
+//!   owners of the labels it changes (a wildcard consumer forces full
+//!   broadcast). Each worker drains its mailbox before matching: the
+//!   delta keeps its slice incrementally consistent, and an insertion
+//!   that routes to a search-served reaction it owns marks the reaction
+//!   dirty; an exact search that finds nothing clears it.
+//! * **Claims** — firings are validated by the atomic
+//!   [`ShardedBag::claim_and_replace`]; a slice or search that raced a
+//!   concurrent claimant simply loses the claim and learns of the
+//!   winner's delta from its mailbox.
+//! * **Work stealing** — a worker with nothing ready pops globally woken
+//!   reactions from a [`ShardedWorklist`] and searches them exactly —
+//!   in place for search-eligible reactions, through per-bucket copies
+//!   otherwise (claims re-validate, so thieves are pure rebalancing for
+//!   skewed partitions, e.g. a single-bucket fold whose every key one
+//!   worker owns).
+//! * **Termination** — exact, from *drained memories*: when every
 //!   addressed delta has been processed (`processed[v] == sent[v]` for
-//!   all workers `v`), no worker is active, and no slice holds an
-//!   enabled match, the union of the slices is the full (exact) network
-//!   and proves the paper's global termination state. No lock-all
-//!   snapshot search runs; debug builds still cross-check against the
+//!   all workers `v`), no worker is active, no slice holds an enabled
+//!   match and no search-served reaction is dirty, no reaction is enabled
+//!   anywhere — the paper's global termination state. Removals never
+//!   enable a Gamma match, so a search that came up dry stays a proof
+//!   until an insertion it routes to arrives. No lock-all snapshot
+//!   search runs; debug builds still cross-check against the
 //!   locked-shard exact matcher.
-//!
-//! # The probe-retry engine ([`ParEngine::ProbeRetry`], the baseline)
-//!
-//! * Each worker runs an **optimistic match–claim loop**: search a sampled
-//!   [`MatchSource`] view of the bag (stale reads allowed), then claim. A
-//!   lost race shows up as a failed claim and the worker retries.
-//! * **Termination** uses an authoritative check: a worker whose sampled
-//!   search comes up dry locks every shard and runs the exact matcher
-//!   over the locked shards.
-//! * **Startup pruning**: a watermark-bounded [`ReteNetwork`] occupancy
-//!   probe pre-clears the dirty flags of reactions with no enabled match.
-//!
-//! Kept as the measurable baseline: harness step `S4` records both
-//! engines' firings/sec in `BENCH_parallel.json`.
 
-use crate::compiled::{CompiledProgram, Firing, MatchError, MatchSource, SearchScratch};
+use crate::compiled::{
+    CompiledProgram, CompiledReaction, Firing, MatchError, MatchSource, SearchScratch,
+};
 use crate::fault::{FaultPlan, WaveFaults};
 use crate::pool::WorkerPool;
-use crate::rete::{AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan};
-use crate::schedule::{DependencyIndex, ShardedWorklist};
+use crate::rete::{AlphaSlice, ReteNetwork, ReteReactionCounters, SlicePlan};
+use crate::schedule::{DependencyIndex, Matcher, MatcherChoices, ShardedWorklist};
 use crate::seq::{ExecError, ExecResult, ParError, Selection, Status};
 use crate::session::{EngineConfig, Session};
 use crate::spec::GammaProgram;
-use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
+use crate::telemetry::{firing_event, ProfileTable, Telemetry, TraceEvent, MAIN_WORKER};
 use crate::trace::ExecStats;
 use crossbeam_channel::{Receiver, Sender};
 use gammaflow_multiset::{
     ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardedBag, Symbol, Tag, Value, ValueBucket,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -93,55 +85,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-reaction dirty flags shared by all workers: a cleared flag means
-/// "some worker's sampled probe found nothing for this reaction and no
-/// potentially-enabling element has been produced since". Workers skip
-/// clean reactions when probing — the parallel image of the sequential
-/// delta worklist. The flags are *heuristic* (sampled probes under-read
-/// and clearing races with concurrent producers); termination never
-/// depends on them because the snapshot check stays exact over every
-/// reaction.
-struct DirtyFlags {
-    flags: Vec<AtomicBool>,
-}
-
-impl DirtyFlags {
-    fn new(n: usize) -> DirtyFlags {
-        DirtyFlags {
-            flags: (0..n).map(|_| AtomicBool::new(true)).collect(),
-        }
-    }
-
-    fn set(&self, r: usize) {
-        self.flags[r].store(true, Ordering::Release);
-    }
-
-    fn clear(&self, r: usize) {
-        self.flags[r].store(false, Ordering::Release);
-    }
-
-    fn collect_dirty(&self, out: &mut Vec<usize>) {
-        out.clear();
-        for (r, f) in self.flags.iter().enumerate() {
-            if f.load(Ordering::Acquire) {
-                out.push(r);
-            }
-        }
-    }
-}
-
-/// Which parallel engine drives the workers.
+/// The parallel engine [`Engine::Parallel`](crate::session::Engine::Parallel)
+/// drives. There is one: a one-variant enum keeps the
+/// `Engine::Parallel(ParEngine::ShardedRete)` spelling of callers and
+/// snapshots valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum ParEngine {
-    /// Delta-driven sharded Rete matching (the default): each worker owns
-    /// a slice of the `(label, tag)` alpha space and reads enabled
-    /// matches from its incrementally maintained network slice. See the
-    /// module docs.
+    /// Delta-driven sharded workers: each owns a slice of the
+    /// `(label, tag)` alpha space and serves its reactions by Rete slice
+    /// or exact search, per reaction. See the module docs.
     #[default]
     ShardedRete,
-    /// The sampled optimistic probe-and-retry loop with heuristic dirty
-    /// flags — the pre-sharding engine, kept as the measurable baseline.
-    ProbeRetry,
 }
 
 /// What a parallel wave does when a worker thread dies mid-wave. Worker
@@ -204,45 +158,36 @@ impl RecoveryPolicy {
 pub struct ParStats {
     /// Claims that lost a race and were retried.
     pub claim_failures: u64,
-    /// Sampled searches that found nothing (probe-retry engine).
-    pub dry_probes: u64,
-    /// Authoritative locked-shard checks performed (probe-retry engine;
-    /// for the sharded engine this counts only the debug-build
-    /// cross-check of the memory-emptiness termination proof).
+    /// Debug-build cross-checks of the drained-memories termination
+    /// proof against the locked-shard exact matcher.
     pub snapshot_checks: u64,
-    /// Reactions whose dirty flag was pre-cleared at startup because the
-    /// watermark-bounded rete occupancy probe found no enabled match for
-    /// them (probe-retry engine).
-    pub rete_precleared: u64,
-    /// Firings whose net delta was broadcast to the worker mailboxes
-    /// (sharded engine; equals the total firings).
+    /// Firings whose net delta was published to the worker mailboxes
+    /// (equals the total firings).
     pub deltas_published: u64,
-    /// Delta messages drained from mailboxes, summed over workers
-    /// (sharded engine). When the run ends drained this equals the sum
-    /// of per-firing *addressed* workers — `deltas_published` itself for
-    /// a single-component program, up to `deltas_published × workers`
+    /// Delta messages drained from mailboxes, summed over workers. When
+    /// the run ends drained this equals the sum of per-firing
+    /// *addressed* workers — `deltas_published` itself for a
+    /// single-component program, up to `deltas_published × workers`
     /// when a wildcard consumer forces broadcast.
     pub deltas_processed: u64,
     /// Firings found by an idle worker searching a stolen worklist
-    /// reaction instead of reading its own slice (sharded engine).
+    /// reaction instead of reading its own ready set.
     pub stolen_firings: u64,
-    /// Stolen worklist reactions whose exact search found nothing
-    /// (sharded engine).
+    /// Stolen worklist reactions whose exact search found nothing.
     pub steal_misses: u64,
     /// Join levels demoted to virtual by the spill watermark, summed over
-    /// the startup occupancy probe (probe-retry) and every worker slice
-    /// (sharded).
+    /// every worker slice.
     pub spill_demotions: u64,
     /// Frontier-completion enabledness probes for spilled reactions,
     /// summed like [`ParStats::spill_demotions`].
     pub spill_probes: u64,
     /// Demoted levels re-materialised after their slice shrank below the
-    /// hysteresis threshold, summed over worker slices (sharded engine).
+    /// hysteresis threshold, summed over worker slices.
     pub spill_repromotions: u64,
     /// Per-worker peak live beta tokens across that worker's rete slice
-    /// (sharded engine) — the committed `BENCH_parallel.json` records the
-    /// maximum, and the equivalence suite asserts each entry stays within
-    /// the watermark plus one delta burst.
+    /// — the committed `BENCH_parallel.json` records the maximum, and the
+    /// equivalence suite asserts each entry stays within the watermark
+    /// plus one delta burst.
     pub shard_peak_tokens: Vec<u64>,
     /// Worker threads lost to a caught panic, summed over all waves and
     /// replay attempts.
@@ -262,10 +207,10 @@ pub struct ParStats {
 
 impl ParStats {
     /// Merge another block's **wave-level** scalar counters (worker
-    /// folds, session waves). The slice-lifetime fields
-    /// (`rete_precleared`, `spill_*`, `shard_peak_tokens`) are
-    /// deliberately excluded — they are folded once, at finish time, by
-    /// the engine states' `fold_lifetime_stats` — and the recovery
+    /// folds, session waves). The slice-lifetime fields (`spill_*`,
+    /// `shard_peak_tokens`) are deliberately excluded — they are folded
+    /// once, at finish time, by the engine state's `fold_lifetime_stats`
+    /// — and the recovery
     /// counters (`workers_lost`, `waves_replayed`, `degraded_waves`) are
     /// incremented directly by the recovery loop, never carried by a
     /// worker's per-wave block.
@@ -275,9 +220,7 @@ impl ParStats {
         // reason — instead of being silently dropped.
         let ParStats {
             claim_failures,
-            dry_probes,
             snapshot_checks,
-            rete_precleared: _, // lifetime: folded by fold_lifetime_stats
             deltas_published,
             deltas_processed,
             stolen_firings,
@@ -293,7 +236,6 @@ impl ParStats {
             pool_spawns: _,        // dispatch: incremented by the wave attempt
         } = other;
         self.claim_failures += claim_failures;
-        self.dry_probes += dry_probes;
         self.snapshot_checks += snapshot_checks;
         self.deltas_published += deltas_published;
         self.deltas_processed += deltas_processed;
@@ -310,9 +252,7 @@ impl ParStats {
     pub fn absorb(&mut self, other: &ParStats) {
         let ParStats {
             claim_failures,
-            dry_probes,
             snapshot_checks,
-            rete_precleared,
             deltas_published,
             deltas_processed,
             stolen_firings,
@@ -328,9 +268,7 @@ impl ParStats {
             pool_spawns,
         } = other;
         self.claim_failures += claim_failures;
-        self.dry_probes += dry_probes;
         self.snapshot_checks += snapshot_checks;
-        self.rete_precleared += rete_precleared;
         self.deltas_published += deltas_published;
         self.deltas_processed += deltas_processed;
         self.stolen_firings += stolen_firings;
@@ -347,9 +285,8 @@ impl ParStats {
     }
 }
 
-/// Per-wave RNG stream base, shared by both parallel engines so their
-/// seed derivation can never silently diverge: wave 0 reproduces the
-/// legacy one-shot seed exactly.
+/// Per-wave RNG stream base: wave 0 reproduces the legacy one-shot seed
+/// exactly.
 fn wave_seed(seed: u64, wave_index: u64) -> u64 {
     seed.wrapping_add(wave_index.wrapping_mul(0x517c_c1b7_2722_0a95))
 }
@@ -394,6 +331,12 @@ impl Directory {
         self.map.read().keys().copied().collect()
     }
 
+    fn for_each_tag(&self, label: Symbol, mut f: impl FnMut(Tag)) {
+        if let Some(tags) = self.map.read().get(&label) {
+            tags.iter().copied().for_each(&mut f);
+        }
+    }
+
     fn tags(&self, label: Symbol) -> Vec<Tag> {
         self.map
             .read()
@@ -430,72 +373,71 @@ impl Directory {
     }
 }
 
-/// A sampled, lock-per-probe view of the sharded bag for worker search.
-struct ShardedView<'a> {
-    bag: &'a ShardedBag,
-    directory: &'a Directory,
-    sample_cap: usize,
-    salt: u64,
-}
-
-impl MatchSource for ShardedView<'_> {
-    fn all_labels(&self) -> Vec<Symbol> {
-        self.directory.labels()
-    }
-
-    fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
-        self.directory.tags(label)
-    }
-
-    fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
-        let shard = self.bag.shard_of(label, tag);
-        self.bag.with_shard(shard, |b| {
-            let Some(bucket) = b.bucket(label, tag) else {
-                return Vec::new();
-            };
-            let mut values: Vec<(Value, usize)> =
-                bucket.iter_counts().map(|(v, c)| (v.clone(), c)).collect();
-            if values.len() > self.sample_cap {
-                // Salted subsample: rotate to a pseudo-random offset and
-                // keep a window. Missed candidates are recovered by retries
-                // or the terminal snapshot check.
-                let skip = (self.salt as usize) % values.len();
-                values.rotate_left(skip);
-                values.truncate(self.sample_cap);
-            }
-            values
-        })
-    }
-
-    fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
-        let shard = self.bag.shard_of(label, tag);
-        self.bag.with_shard(shard, |b| {
-            b.bucket(label, tag).map_or(0, |x| x.count(value))
-        })
-    }
-}
-
-/// An exact, allocation-free [`MatchSource`] over a fully locked
-/// [`ShardedBag`]: the terminal stability check searches the live shards
-/// in place instead of cloning the whole bag into a snapshot (every
+/// An exact, allocation-free [`MatchSource`] over locked shards of a
+/// [`ShardedBag`], searched in place instead of copied (every
 /// `(label, tag)` bucket lives in exactly one shard, so per-bucket
 /// accessors are single-guard lookups). Lock order matches
-/// `claim_and_replace`, so concurrent claimants block but never deadlock.
+/// `claim_and_replace`, so concurrent claimants block but never
+/// deadlock.
+///
+/// * [`LockedShards::all`] freezes the whole bag: the debug termination
+///   cross-check and the wave-boundary matcher re-decision read it.
+/// * [`LockedShards::for_search`] locks only the buckets a
+///   search-eligible reaction can read — at most its two positions' —
+///   so its seeded search draws their rows lazily in place,
+///   O(candidates examined), instead of copying whole buckets through
+///   [`ShardedSource`]. A bucket whose shard is outside the set reads
+///   as absent: its key was not in the directory when the set was
+///   taken, so its producer's delta has not been absorbed yet and will
+///   re-dirty the reaction.
 struct LockedShards<'a> {
     bag: &'a ShardedBag,
+    /// The locked shard ids, ascending; `None` when every shard is.
+    ids: Option<&'a [usize]>,
     guards: Vec<MutexGuard<'a, ElementBag>>,
 }
 
 impl<'a> LockedShards<'a> {
-    fn lock(bag: &'a ShardedBag) -> LockedShards<'a> {
+    fn all(bag: &'a ShardedBag) -> LockedShards<'a> {
         LockedShards {
             bag,
+            ids: None,
             guards: bag.lock_all(),
         }
     }
 
-    fn shard(&self, label: Symbol, tag: Tag) -> &ElementBag {
-        &self.guards[self.bag.shard_of(label, tag)]
+    /// Lock the shards of every bucket reaction `cr` (search-eligible)
+    /// can read: one per literal-tag position, the shards of the
+    /// directory's tags otherwise. `ids` is the caller's scratch.
+    fn for_search(
+        cr: &CompiledReaction,
+        bag: &'a ShardedBag,
+        directory: &Directory,
+        ids: &'a mut Vec<usize>,
+    ) -> LockedShards<'a> {
+        ids.clear();
+        for (label, tag) in cr.search_buckets() {
+            match tag {
+                Some(tag) => ids.push(bag.shard_of(label, tag)),
+                None => directory.for_each_tag(label, |tag| ids.push(bag.shard_of(label, tag))),
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        LockedShards {
+            bag,
+            guards: bag.lock_shards(ids),
+            ids: Some(ids),
+        }
+    }
+
+    fn shard(&self, label: Symbol, tag: Tag) -> Option<&ElementBag> {
+        let shard = self.bag.shard_of(label, tag);
+        let i = match self.ids {
+            None => shard,
+            Some(ids) => ids.binary_search(&shard).ok()?,
+        };
+        Some(&self.guards[i])
     }
 }
 
@@ -515,11 +457,14 @@ impl MatchSource for LockedShards<'_> {
     }
 
     fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
-        self.shard(label, tag).values_at(label, tag)
+        self.shard(label, tag)
+            .map(|b| b.values_at(label, tag))
+            .unwrap_or_default()
     }
 
     fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
-        self.shard(label, tag).count_at(label, tag, value)
+        self.shard(label, tag)
+            .map_or(0, |b| b.count_at(label, tag, value))
     }
 
     fn visit_tags(&self, label: Symbol, f: &mut dyn FnMut(Tag) -> bool) {
@@ -533,29 +478,25 @@ impl MatchSource for LockedShards<'_> {
     }
 
     fn visit_values(&self, label: Symbol, tag: Tag, f: &mut dyn FnMut(&Value, usize) -> bool) {
-        self.shard(label, tag).visit_values(label, tag, f);
+        if let Some(b) = self.shard(label, tag) {
+            b.visit_values(label, tag, f);
+        }
     }
 
     fn bucket_in_place(&self, label: Symbol, tag: Tag) -> Option<Option<&ValueBucket>> {
-        Some(self.shard(label, tag).bucket(label, tag))
+        Some(self.shard(label, tag).and_then(|b| b.bucket(label, tag)))
     }
 }
-
-/// Spill watermark for the startup occupancy probe: small enough that
-/// building the probe never materialises more than a few hundred tokens
-/// per reaction (deep levels spill to on-demand search), while
-/// [`ReteNetwork::has_match`] stays exact at any watermark.
-const OCCUPANCY_PROBE_WATERMARK: usize = 256;
 
 /// Run `program` on `initial` with the engine `config` names —
 /// [`EngineConfig::parallel`] selects the sharded parallel engine.
 ///
 /// A thin wrapper over a one-wave [`Session`]: the session builds the
-/// same sharded bag / slices / dirty flags this function historically
-/// built inline, runs one wave to stability, and reports the identical
-/// result shape. Long-running callers that inject input incrementally
-/// should hold a [`Session`] with [`Engine::Parallel`](crate::session::Engine::Parallel) directly and pay
-/// the slice build once.
+/// sharded bag, slices and dirty sets, runs one wave to stability, and
+/// reports the result with the engine counters. Long-running callers
+/// that inject input incrementally should hold a [`Session`] with
+/// [`Engine::Parallel`](crate::session::Engine::Parallel) directly and
+/// pay the slice build once.
 pub fn run_parallel(
     program: &GammaProgram,
     initial: ElementBag,
@@ -577,525 +518,8 @@ fn stream_seed(config: &EngineConfig) -> u64 {
     }
 }
 
-/// Persistent state of the probe-retry engine across a session's waves:
-/// the sharded bag, the key directory, and the heuristic dirty flags
-/// (injection re-arms exactly the dependents of injected labels — the
-/// delta discipline of the sequential worklist). Worker threads are
-/// scoped per wave; everything else survives.
-pub(crate) struct ProbeState {
-    deps: DependencyIndex,
-    dirty: DirtyFlags,
-    bag: ShardedBag,
-    directory: Directory,
-    nreactions: usize,
-    workers: usize,
-    sample_cap: usize,
-    seed: u64,
-    /// Startup occupancy-probe accounting, folded into the session's
-    /// cumulative [`ParStats`] at finish time.
-    rete_precleared: u64,
-    probe_stats: ReteStats,
-}
-
-impl ProbeState {
-    /// Build the engine state over `initial` (see the module docs for
-    /// the startup occupancy probe).
-    pub(crate) fn build(
-        compiled: &CompiledProgram,
-        initial: ElementBag,
-        config: &EngineConfig,
-    ) -> ProbeState {
-        let nreactions = compiled.reactions.len();
-        let deps = DependencyIndex::new(compiled);
-        let dirty = DirtyFlags::new(nreactions);
-
-        // Startup pruning: a watermark-bounded rete probe over the initial
-        // multiset answers exact per-reaction enabledness (deep join levels
-        // spill to on-demand search past the watermark, so building it is
-        // cheap); reactions with no enabled match start clean, and workers
-        // skip probing them until something they consume is produced. The
-        // locked-shard terminal check stays the exactness backstop either
-        // way.
-        let mut rete_precleared = 0u64;
-        let mut probe_stats = ReteStats::default();
-        if nreactions > 0 {
-            let mut probe =
-                ReteNetwork::with_watermark(compiled, &initial, OCCUPANCY_PROBE_WATERMARK);
-            for r in 0..nreactions {
-                if !probe.has_match(compiled, &initial, r) {
-                    dirty.clear(r);
-                    rete_precleared += 1;
-                }
-            }
-            // The probe's own spill activity is part of the run's
-            // accounting: aggregation used to drop these counters entirely.
-            probe_stats = probe.stats.clone();
-        }
-
-        let directory = Directory::new(&initial);
-        let bag = ShardedBag::new(config.shards);
-        bag.insert_all(initial.iter());
-
-        ProbeState {
-            deps,
-            dirty,
-            bag,
-            directory,
-            nreactions,
-            workers: config.workers.max(1),
-            sample_cap: config.sample_cap,
-            seed: stream_seed(config),
-            rete_precleared,
-            probe_stats,
-        }
-    }
-
-    /// Inject new elements: insert into the sharded bag, note directory
-    /// keys, and re-arm exactly the dirty flags of reactions consuming
-    /// an injected label.
-    pub(crate) fn inject(&mut self, elements: &[Element]) {
-        for e in elements {
-            self.directory.note(e.label, e.tag);
-        }
-        self.bag.insert_all(elements.iter().cloned());
-        for e in elements {
-            self.deps.for_each_dependent(e.label, |r| self.dirty.set(r));
-        }
-    }
-
-    /// A consistent copy of the live multiset.
-    pub(crate) fn snapshot(&self) -> ElementBag {
-        self.bag.snapshot()
-    }
-
-    /// Drain the bag (the dirty flags stay heuristic; exactness lives in
-    /// the locked-shard checks).
-    pub(crate) fn drain(&mut self) -> ElementBag {
-        self.bag.drain()
-    }
-
-    /// Consume the state, returning the final multiset.
-    pub(crate) fn into_bag(self) -> ElementBag {
-        self.bag.drain()
-    }
-
-    /// Fold the build-time occupancy-probe accounting into `par`.
-    pub(crate) fn fold_lifetime_stats(&self, par: &mut ParStats) {
-        par.rete_precleared += self.rete_precleared;
-        par.spill_demotions += self.probe_stats.spill_demotions;
-        par.spill_probes += self.probe_stats.spill_probes;
-    }
-
-    /// Export the key directory for a session snapshot.
-    pub(crate) fn directory_export(&self) -> Vec<(Symbol, Vec<Tag>)> {
-        self.directory.export()
-    }
-
-    /// Re-note exported directory entries (session restore).
-    pub(crate) fn directory_preload(&self, entries: &[(Symbol, Vec<Tag>)]) {
-        self.directory.preload(entries);
-    }
-
-    /// Elements currently in the live multiset.
-    pub(crate) fn len(&self) -> usize {
-        self.bag.len()
-    }
-
-    /// One wave of the sampled probe-and-retry worker loop (see the
-    /// module docs), replayed from its entry snapshot under
-    /// `ctl.recovery` if a worker is lost. Wave-level counters are added
-    /// to `par`; the wave's firing stats and status are returned.
-    pub(crate) fn wave(
-        &mut self,
-        compiled: &CompiledProgram,
-        budget: u64,
-        wave_index: u64,
-        par: &mut ParStats,
-        ctl: &WaveCtl<'_>,
-    ) -> Result<(ExecStats, Status), ExecError> {
-        let nreactions = self.nreactions;
-        if nreactions == 0 {
-            return Ok((ExecStats::new(0), Status::Stable));
-        }
-        if budget == 0 {
-            return Ok((ExecStats::new(nreactions), Status::BudgetExhausted));
-        }
-
-        // Wave-entry snapshot: the valid replay point (the bag between
-        // waves is quiescent). Skipped — with its clone cost — when
-        // replay is disabled.
-        let entry = (ctl.recovery.max_replays > 0).then(|| self.bag.snapshot());
-        let mut attempt: u32 = 0;
-        loop {
-            let wf = WaveFaults::new(ctl.faults, wave_index, attempt, ctl.tel);
-            match self.wave_attempt(compiled, budget, wave_index, par, wf, ctl) {
-                Ok(out) => {
-                    par.waves_replayed += u64::from(attempt);
-                    return Ok(out);
-                }
-                Err(WaveFailure::Exec(e)) => return Err(e),
-                Err(WaveFailure::Lost(workers)) => {
-                    par.workers_lost += workers.len() as u64;
-                    if ctl.tel.enabled() {
-                        ctl.emit(
-                            wave_index,
-                            TraceEvent::WaveQuarantined {
-                                wave: wave_index,
-                                attempt,
-                                workers_lost: workers.len() as u64,
-                            },
-                        );
-                    }
-                    let Some(entry) = entry.as_ref() else {
-                        // No replay point: surface the loss. The bag keeps
-                        // the partial wave's atomically committed claims —
-                        // a legal reachable multiset, so the session stays
-                        // structurally usable.
-                        return Err(ParError::WorkerLost {
-                            workers,
-                            replays: attempt,
-                        }
-                        .into());
-                    };
-                    // Quarantine the poisoned wave: restore the entry
-                    // multiset and re-arm every dirty flag (the failed
-                    // attempt may have cleared flags against state that
-                    // no longer exists).
-                    self.bag.drain();
-                    self.bag.insert_all(entry.iter());
-                    self.dirty = DirtyFlags::new(nreactions);
-                    if attempt < ctl.recovery.max_replays {
-                        attempt += 1;
-                        if ctl.tel.enabled() {
-                            ctl.emit(
-                                wave_index,
-                                TraceEvent::WaveReplayed {
-                                    wave: wave_index,
-                                    attempt,
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                    return match ctl.recovery.on_exhausted {
-                        OnExhausted::Error => Err(ParError::WorkerLost {
-                            workers,
-                            replays: attempt,
-                        }
-                        .into()),
-                        OnExhausted::DegradeToSeq => {
-                            par.waves_replayed += u64::from(attempt);
-                            par.degraded_waves += 1;
-                            if ctl.tel.enabled() {
-                                ctl.emit(
-                                    wave_index,
-                                    TraceEvent::DegradedToSeq { wave: wave_index },
-                                );
-                            }
-                            let mut bag = entry.clone();
-                            let out =
-                                seq_fallback_wave(compiled, &mut bag, budget, wave_index, ctl)?;
-                            for (e, _) in bag.iter_counts() {
-                                self.directory.note(e.label, e.tag);
-                            }
-                            self.bag.drain();
-                            self.bag.insert_all(bag.iter());
-                            Ok(out)
-                        }
-                    };
-                }
-            }
-        }
-    }
-
-    /// A single attempt at a wave: the worker bodies run on leased pool
-    /// workers (or fallback scoped spawns) under `catch_unwind`, writing
-    /// their results into per-worker slots — an empty slot after the
-    /// wave is a lost worker.
-    fn wave_attempt(
-        &mut self,
-        compiled: &CompiledProgram,
-        budget: u64,
-        wave_index: u64,
-        par: &mut ParStats,
-        wf: WaveFaults<'_>,
-        ctl: &WaveCtl<'_>,
-    ) -> Result<(ExecStats, Status), WaveFailure> {
-        let nreactions = self.nreactions;
-        let workers = self.workers;
-        let tel = ctl.tel;
-        let bag = &self.bag;
-        let directory = &self.directory;
-        let deps = &self.deps;
-        let dirty = &self.dirty;
-        let sample_cap = self.sample_cap;
-        let wave_seed = wave_seed(self.seed, wave_index);
-
-        let done = AtomicBool::new(false);
-        let budget_exhausted = AtomicBool::new(false);
-        let firings_global = AtomicU64::new(0);
-        let checker = Mutex::new(());
-        let error: Mutex<Option<MatchError>> = Mutex::new(None);
-
-        // `catch_unwind` turns a worker panic into a lost-worker report
-        // instead of a process abort; `done` wakes the peers so the
-        // failed attempt winds down promptly.
-        let outs: Vec<Mutex<Option<(ExecStats, ParStats)>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
-        let body = |w: usize| {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                probe_worker_loop(ProbeWorkerCtx {
-                    compiled,
-                    bag,
-                    directory,
-                    deps,
-                    dirty,
-                    done: &done,
-                    budget_exhausted: &budget_exhausted,
-                    firings_global: &firings_global,
-                    checker: &checker,
-                    error: &error,
-                    budget,
-                    sample_cap,
-                    wave_seed,
-                    nreactions,
-                    w,
-                    wf,
-                    tel,
-                    wave: wave_index,
-                })
-            }));
-            match out {
-                Ok(r) => *outs[w].lock() = Some(r),
-                Err(_) => done.store(true, Ordering::Release),
-            }
-        };
-        if ctl.pool.run(workers, &body) {
-            par.pool_leases += 1;
-        } else {
-            par.pool_spawns += 1;
-        }
-
-        let mut worker_stats: Vec<(ExecStats, ParStats)> = Vec::new();
-        let mut lost: Vec<usize> = Vec::new();
-        for (w, slot) in outs.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some(r) => worker_stats.push(r),
-                None => lost.push(w),
-            }
-        }
-
-        if !lost.is_empty() {
-            return Err(WaveFailure::Lost(lost));
-        }
-        if let Some(e) = error.lock().take() {
-            return Err(WaveFailure::Exec(ExecError::Match(e)));
-        }
-
-        let mut stats = ExecStats::new(nreactions);
-        for (s, p) in &worker_stats {
-            stats.absorb(s);
-            par.absorb_wave_counters(p);
-        }
-
-        let status = if budget_exhausted.load(Ordering::Acquire) {
-            Status::BudgetExhausted
-        } else {
-            Status::Stable
-        };
-        Ok((stats, status))
-    }
-}
-
-/// Borrowed context of one probe-retry worker (bundled to keep the spawn
-/// site readable).
-struct ProbeWorkerCtx<'a> {
-    compiled: &'a CompiledProgram,
-    bag: &'a ShardedBag,
-    directory: &'a Directory,
-    deps: &'a DependencyIndex,
-    dirty: &'a DirtyFlags,
-    done: &'a AtomicBool,
-    budget_exhausted: &'a AtomicBool,
-    firings_global: &'a AtomicU64,
-    checker: &'a Mutex<()>,
-    error: &'a Mutex<Option<MatchError>>,
-    budget: u64,
-    sample_cap: usize,
-    wave_seed: u64,
-    nreactions: usize,
-    w: usize,
-    wf: WaveFaults<'a>,
-    tel: &'a Telemetry,
-    wave: u64,
-}
-
-/// The probe-retry worker body (see the module docs): sampled probes over
-/// the dirty set, atomic claims, and the authoritative locked-shard
-/// termination check.
-fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
-    let ProbeWorkerCtx {
-        compiled,
-        bag,
-        directory,
-        deps,
-        dirty,
-        done,
-        budget_exhausted,
-        firings_global,
-        checker,
-        error,
-        budget,
-        sample_cap,
-        wave_seed,
-        nreactions,
-        w,
-        wf,
-        tel,
-        wave,
-    } = ctx;
-    let mut rng = ChaCha8Rng::seed_from_u64(wave_seed.wrapping_add(w as u64 * 0x9e37));
-    let mut stats = ExecStats::new(nreactions);
-    let mut par = ParStats::default();
-    let mut fired_local = 0u64;
-    // Worker-local telemetry sequence: orders this worker's trace
-    // timeline independently of the fault coordinates above.
-    let mut wev = 0u64;
-    // Probe order: only reactions whose dirty flag is set (the
-    // delta-scheduling prune); refreshed every iteration.
-    let mut order: Vec<usize> = Vec::with_capacity(nreactions);
-    let mut all: Vec<usize> = (0..nreactions).collect();
-    let mut scratch = SearchScratch::new();
-
-    'main: while !done.load(Ordering::Acquire) {
-        dirty.collect_dirty(&mut order);
-        let found = if order.is_empty() {
-            None
-        } else {
-            order.shuffle(&mut rng);
-            let view = ShardedView {
-                bag,
-                directory,
-                sample_cap,
-                salt: rng.gen(),
-            };
-            match compiled.find_any(&order, &view, Some(&mut rng)) {
-                Ok(f) => f,
-                Err(e) => {
-                    *error.lock() = Some(e);
-                    done.store(true, Ordering::Release);
-                    break 'main;
-                }
-            }
-        };
-        match found {
-            Some(firing) => {
-                if try_fire(
-                    bag,
-                    directory,
-                    deps,
-                    dirty,
-                    firings_global,
-                    budget,
-                    done,
-                    budget_exhausted,
-                    &firing,
-                    &mut stats,
-                    &mut par,
-                ) {
-                    if tel.enabled() {
-                        let name = &compiled.reactions[firing.reaction].name;
-                        tel.emit(w as i64, wev, wave, firing_event(name, &firing, 0, false));
-                        wev += 1;
-                    }
-                    fired_local += 1;
-                    wf.on_firing(w, fired_local);
-                } else {
-                    par.claim_failures += 1;
-                }
-            }
-            None => {
-                // A sampled pass over the dirty set found
-                // nothing: clear those flags (any concurrent
-                // producer re-sets them) and fall through to
-                // the authoritative check.
-                for &r in &order {
-                    dirty.clear(r);
-                }
-                par.dry_probes += 1;
-                // Authoritative termination check under the
-                // checker mutex: exact search over the live
-                // shards with every shard lock held — a
-                // consistent view with no whole-bag clone.
-                // Exactness lives here, so the dirty flags can
-                // stay heuristic. The guards must drop before
-                // try_fire, which re-locks shards to claim.
-                let _guard = checker.lock();
-                if done.load(Ordering::Acquire) {
-                    break 'main;
-                }
-                par.snapshot_checks += 1;
-                all.shuffle(&mut rng);
-                let exact = {
-                    let locked = LockedShards::lock(bag);
-                    match compiled.find_any_fast(&all, &locked, Some(&mut rng), &mut scratch) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            *error.lock() = Some(e);
-                            done.store(true, Ordering::Release);
-                            break 'main;
-                        }
-                    }
-                };
-                match exact {
-                    None => {
-                        // Steady state reached.
-                        done.store(true, Ordering::Release);
-                        break 'main;
-                    }
-                    Some(firing) => {
-                        // The snapshot is consistent and we
-                        // still hold the checker lock, but
-                        // other workers may race us; claim
-                        // normally.
-                        if try_fire(
-                            bag,
-                            directory,
-                            deps,
-                            dirty,
-                            firings_global,
-                            budget,
-                            done,
-                            budget_exhausted,
-                            &firing,
-                            &mut stats,
-                            &mut par,
-                        ) {
-                            if tel.enabled() {
-                                let name = &compiled.reactions[firing.reaction].name;
-                                tel.emit(
-                                    w as i64,
-                                    wev,
-                                    wave,
-                                    firing_event(name, &firing, 0, false),
-                                );
-                                wev += 1;
-                            }
-                            fired_local += 1;
-                            wf.on_firing(w, fired_local);
-                        } else {
-                            par.claim_failures += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (stats, par)
-}
-
 /// Per-wave control handles threaded from the session into the parallel
-/// engines: the recovery policy, the fault plan, and the telemetry
+/// engine: the recovery policy, the fault plan, and the telemetry
 /// handle paired with the session's main-thread event counter. The
 /// parallel *wave loops* (recovery, replay, degraded fallback) run on
 /// the session thread — only the worker bodies run elsewhere, with
@@ -1182,51 +606,17 @@ fn seq_fallback_wave(
     Ok((stats, status))
 }
 
-/// Attempt to claim and apply `firing`. Returns `false` on a lost race.
-#[allow(clippy::too_many_arguments)]
-fn try_fire(
-    bag: &ShardedBag,
-    directory: &Directory,
-    deps: &DependencyIndex,
-    dirty: &DirtyFlags,
-    firings_global: &AtomicU64,
-    max_firings: u64,
-    done: &AtomicBool,
-    budget_exhausted: &AtomicBool,
-    firing: &Firing,
-    stats: &mut ExecStats,
-    _par: &mut ParStats,
-) -> bool {
-    if !bag.claim_and_replace(&firing.consumed, &firing.produced) {
-        return false;
-    }
-    // Wake the fired reaction (it may match again) and every reaction
-    // with a consuming pattern reachable from a produced label.
-    dirty.set(firing.reaction);
-    for e in &firing.produced {
-        directory.note(e.label, e.tag);
-        deps.for_each_dependent(e.label, |r| dirty.set(r));
-    }
-    stats.record_firing(firing.reaction, firing);
-    let n = firings_global.fetch_add(1, Ordering::AcqRel) + 1;
-    if n >= max_firings {
-        budget_exhausted.store(true, Ordering::Release);
-        done.store(true, Ordering::Release);
-    }
-    true
-}
-
 // ------------------------------------------------------------------------
-// The sharded-rete engine
+// The sharded engine
 // ------------------------------------------------------------------------
 
 /// An exact, per-probe-locking [`MatchSource`] over the live sharded bag:
 /// label/tag enumeration comes from the (append-only, superset) key
 /// directory, bucket contents from a single transient shard lock. This is
 /// the cross-shard **join frontier**: worker slices complete deep join
-/// levels through it, thieves run the same exact search core over it, and
-/// every read is unsampled — stale only in the benign claim-validated
-/// sense.
+/// levels through it, and searches of reactions that are not
+/// search-eligible run the same exact search core over it — every read
+/// is unsampled, stale only in the benign claim-validated sense.
 struct ShardedSource<'a> {
     bag: &'a ShardedBag,
     directory: &'a Directory,
@@ -1258,6 +648,31 @@ impl MatchSource for ShardedSource<'_> {
     // which keeps the search free of nested lock acquisitions — a
     // recursive search level probing another shard while a lock is held
     // could deadlock against the sorted multi-shard claim path.
+    // `LockedShards::for_search` avoids the copies by taking every lock
+    // up front.
+}
+
+/// One exact seeded search of reaction `r` over the live bag: in place
+/// under its buckets' shard locks when it is search-eligible, through
+/// per-bucket copies otherwise. The locks are released before the
+/// caller claims.
+fn search_exact(
+    compiled: &CompiledProgram,
+    bag: &ShardedBag,
+    directory: &Directory,
+    r: usize,
+    rng: &mut ChaCha8Rng,
+    scratch: &mut SearchScratch,
+    ids: &mut Vec<usize>,
+) -> Result<Option<Firing>, MatchError> {
+    let cr = &compiled.reactions[r];
+    if cr.search_eligible() {
+        let locked = LockedShards::for_search(cr, bag, directory, ids);
+        cr.find_match_fast(r, &locked, Some(rng), scratch)
+    } else {
+        let src = ShardedSource { bag, directory };
+        cr.find_match_fast(r, &src, Some(rng), scratch)
+    }
 }
 
 /// One firing's net delta (distinct removed / inserted elements, with
@@ -1286,11 +701,14 @@ fn net_delta(firing: &Firing) -> DeltaMsg {
     DeltaMsg { removed, inserted }
 }
 
-/// Shared state of a sharded-rete run (borrowed by every worker).
+/// Shared state of a sharded run (borrowed by every worker).
 struct SharedRun<'a> {
     compiled: &'a CompiledProgram,
     deps: &'a DependencyIndex,
     plan: &'a crate::rete::SlicePlan,
+    /// The owning worker of each search-served reaction; `None` for the
+    /// Rete-served ones.
+    search_owner: &'a [Option<usize>],
     bag: &'a ShardedBag,
     directory: &'a Directory,
     worklist: &'a ShardedWorklist,
@@ -1305,16 +723,13 @@ struct SharedRun<'a> {
     /// Per-worker count of delta messages drained from the mailbox.
     processed: &'a [AtomicU64],
     /// Per-worker activity flags: a worker is *inactive* only while
-    /// spinning in the idle loop with a drained mailbox and a dry slice —
-    /// never between a claim and its publish.
+    /// spinning in the idle loop with a drained mailbox and nothing
+    /// ready — never between a claim and its publish.
     active: &'a [AtomicBool],
     done: &'a AtomicBool,
     budget_exhausted: &'a AtomicBool,
     error: &'a Mutex<Option<MatchError>>,
     max_firings: u64,
-    /// Bucket sampling cap for thieves' stolen searches (their claims
-    /// re-validate, so sampling is as safe here as in probe-retry).
-    sample_cap: usize,
     /// The session's telemetry handle (workers tag their own events).
     tel: &'a Telemetry,
     /// Wave index, for the trace-record envelope.
@@ -1324,11 +739,11 @@ struct SharedRun<'a> {
 impl SharedRun<'_> {
     /// Publish a just-claimed firing: bump the global counter, note new
     /// directory keys, enforce the budget, and deliver the net delta to
-    /// the workers whose slices can be affected — the owner of every
-    /// delta label's component (tokens involving a label live only in
-    /// its owner's slice), or everyone when a wildcard consumer exists.
-    /// The claimant's own slice learns about the firing from its mailbox
-    /// like everyone else's. Returns the number of mailboxes addressed
+    /// the workers it can affect — the owner of every delta label's
+    /// component (tokens and search-served reactions involving a label
+    /// live with its owner), or everyone when a wildcard consumer
+    /// exists. The claimant learns about its own firing from its mailbox
+    /// like everyone else. Returns the number of mailboxes addressed
     /// (the [`TraceEvent::DeltaPublished`] payload).
     fn publish(&self, firing: &Firing) -> u64 {
         for e in &firing.produced {
@@ -1376,82 +791,102 @@ impl SharedRun<'_> {
     }
 }
 
-/// Persistent state of the delta-driven sharded-rete engine across a
-/// session's waves: the sharded bag, the key directory, the static
-/// [`SlicePlan`], and — crucially — the per-worker [`ReteNetwork`]
-/// slices, whose alpha/beta memories, spill demotions, and re-promotion
-/// hysteresis all carry over from wave to wave. Worker threads, delta
-/// mailboxes, and the steal worklist are scoped per wave; at a wave's
-/// end every mailbox is provably drained, so the surviving slices are
-/// exact and the next wave resumes from them without a rebuild.
+/// One worker's matcher state, carried from wave to wave: its slice of
+/// the join network (the Rete-served reactions' tokens anchored at labels
+/// it owns) and its ready set — the slice's enabled reactions plus the
+/// *dirty* search-served reactions it owns, i.e. those not proven
+/// matchless since the last insertion that could enable them.
+struct WorkerSlice {
+    net: ReteNetwork,
+    ready: ReadySet,
+}
+
+/// Persistent state of the sharded engine across a session's waves: the
+/// sharded bag, the key directory, the static [`SlicePlan`], the
+/// per-reaction matcher choice, and — crucially — the per-worker
+/// [`WorkerSlice`]s, whose alpha/beta memories, spill demotions,
+/// re-promotion hysteresis and search dirty sets all carry over from
+/// wave to wave. Worker threads, delta mailboxes, and the steal worklist
+/// are scoped per wave; at a wave's end every mailbox is provably
+/// drained, so the surviving slices are exact and the next wave resumes
+/// from them without a rebuild.
 pub(crate) struct ShardedState {
     deps: DependencyIndex,
     plan: Arc<SlicePlan>,
     bag: ShardedBag,
     directory: Directory,
-    slices: Vec<ReteNetwork>,
+    choices: MatcherChoices,
+    /// The owning worker of each search-served reaction (its component
+    /// owner); `None` for the Rete-served ones.
+    search_owner: Vec<Option<usize>>,
+    slices: Vec<WorkerSlice>,
     workers: usize,
     nreactions: usize,
     watermark: usize,
-    sample_cap: usize,
     seed: u64,
 }
 
 impl ShardedState {
-    /// Build the slices and the sharded bag over `initial` (see the
-    /// module docs).
+    /// Build the slices and the sharded bag over `initial` with the
+    /// matcher `choices` (see the module docs).
     pub(crate) fn build(
         compiled: &CompiledProgram,
         initial: ElementBag,
         config: &EngineConfig,
+        choices: MatcherChoices,
     ) -> ShardedState {
         let workers = config.workers.max(1);
-        let deps = DependencyIndex::new(compiled);
-        let directory = Directory::new(&initial);
         let bag = ShardedBag::new(config.shards);
-        let nshards = bag.num_shards();
-        let plan = Arc::new(SlicePlan::build(compiled, workers, nshards));
-
-        // Build each worker's slice over the plain initial bag (a coherent
-        // pre-sharding view); the live engine reads the sharded bag through
-        // the same MatchSource core.
-        let slices: Vec<ReteNetwork> = (0..workers)
-            .map(|w| {
-                ReteNetwork::with_slice(
-                    compiled,
-                    &initial,
-                    config.rete_watermark,
-                    AlphaSlice {
-                        plan: plan.clone(),
-                        worker: w,
-                    },
-                )
-            })
-            .collect();
-
-        bag.insert_all(initial.iter());
-
-        ShardedState {
-            deps,
-            plan,
+        let plan = Arc::new(SlicePlan::build(compiled, workers, bag.num_shards()));
+        let mut st = ShardedState {
+            deps: DependencyIndex::new(compiled),
+            directory: Directory::new(&initial),
             bag,
-            directory,
-            slices,
+            plan,
+            choices,
+            search_owner: Vec::new(),
+            slices: Vec::new(),
             workers,
             nreactions: compiled.reactions.len(),
             watermark: config.rete_watermark,
-            sample_cap: config.sample_cap,
             seed: stream_seed(config),
-        }
+        };
+        st.search_owner = (0..st.nreactions)
+            .map(|r| st.owner_if_searched(compiled, r))
+            .collect();
+        // Build each worker's slice over the plain initial bag (a
+        // coherent pre-sharding view); the live engine reads the sharded
+        // bag through the same MatchSource core.
+        st.rebuild_slices(compiled, &initial);
+        st.arm_search();
+        st.bag.insert_all(initial.iter());
+        st
+    }
+
+    /// The component owner of reaction `r` when search serves it.
+    fn owner_if_searched(&self, compiled: &CompiledProgram, r: usize) -> Option<usize> {
+        (self.choices.matcher(r) == Matcher::Search).then(|| {
+            // Every label of a reaction lies in its component; a
+            // wildcard-only reaction forces broadcast, so any worker
+            // hears its deltas.
+            let (labels, _) = compiled.reactions[r].consumed_label_classes();
+            labels.first().map_or(0, |&l| self.plan.owner_of(l))
+        })
+    }
+
+    /// The per-reaction matcher choice.
+    pub(crate) fn choices(&self) -> &MatcherChoices {
+        &self.choices
     }
 
     /// Inject new elements between waves: insert into the sharded bag,
-    /// note directory keys, and feed the insertion delta to the slices
-    /// using the mailbox addressing rule ([`SharedRun::publish`]): every
+    /// note directory keys, feed the insertion delta to the slices using
+    /// the mailbox addressing rule ([`SharedRun::publish`]) — every
     /// token involving a label lives in its component owner's slice, so
-    /// each element routes to exactly `plan.owner_of(label)` — skipping
-    /// labels no reaction consumes — and only a wildcard consumer forces
-    /// delivery to every slice.
+    /// each element routes to exactly `plan.owner_of(label)`, skipping
+    /// labels no reaction consumes, and only a wildcard consumer forces
+    /// delivery to every slice — and mark the search-served dependents
+    /// dirty in their owners' ready sets.
     pub(crate) fn inject(&mut self, compiled: &CompiledProgram, elements: &[Element]) {
         let ShardedState {
             deps,
@@ -1459,16 +894,22 @@ impl ShardedState {
             bag,
             directory,
             slices,
+            search_owner,
             ..
         } = self;
         for e in elements {
             directory.note(e.label, e.tag);
+            deps.for_each_dependent(e.label, |r| {
+                if let Some(w) = search_owner[r] {
+                    slices[w].ready.set(r, true);
+                }
+            });
         }
         bag.insert_all(elements.iter().cloned());
         let src = ShardedSource { bag, directory };
         if plan.wildcard_consumer() {
             for slice in slices.iter_mut() {
-                slice.on_inserted(compiled, &src, elements);
+                slice.net.on_inserted(compiled, &src, elements);
             }
             return;
         }
@@ -1480,7 +921,7 @@ impl ShardedState {
         }
         for (slice, batch) in slices.iter_mut().zip(&per_worker) {
             if !batch.is_empty() {
-                slice.on_inserted(compiled, &src, batch);
+                slice.net.on_inserted(compiled, &src, batch);
             }
         }
     }
@@ -1492,22 +933,25 @@ impl ShardedState {
 
     /// Drain the bag and reset each slice to memories over the (now
     /// empty) bag, preserving its lifetime counters — the pipeline
-    /// chaining primitive.
+    /// chaining primitive. The search dirty sets survive: removals never
+    /// enable a match.
     pub(crate) fn drain_reset(&mut self, compiled: &CompiledProgram) -> ElementBag {
         let out = self.bag.drain();
         let empty = ElementBag::new();
+        let served = self.choices.mask(Matcher::Rete);
         for (w, slice) in self.slices.iter_mut().enumerate() {
-            let stats = slice.stats.clone();
-            *slice = ReteNetwork::with_slice(
+            let stats = slice.net.stats.clone();
+            slice.net = ReteNetwork::with_slice(
                 compiled,
                 &empty,
                 self.watermark,
+                &served,
                 AlphaSlice {
                     plan: self.plan.clone(),
                     worker: w,
                 },
             );
-            slice.stats = stats;
+            slice.net.stats = stats;
         }
         out
     }
@@ -1522,10 +966,11 @@ impl ShardedState {
     /// double-count if folded then).
     pub(crate) fn fold_lifetime_stats(&self, par: &mut ParStats) {
         for slice in &self.slices {
-            par.spill_demotions += slice.stats.spill_demotions;
-            par.spill_probes += slice.stats.spill_probes;
-            par.spill_repromotions += slice.stats.spill_repromotions;
-            par.shard_peak_tokens.push(slice.stats.peak_live_tokens);
+            let stats = &slice.net.stats;
+            par.spill_demotions += stats.spill_demotions;
+            par.spill_probes += stats.spill_probes;
+            par.spill_repromotions += stats.spill_repromotions;
+            par.shard_peak_tokens.push(stats.peak_live_tokens);
         }
     }
 
@@ -1552,7 +997,7 @@ impl ShardedState {
     pub(crate) fn take_reaction_counters(&mut self) -> Vec<ReteReactionCounters> {
         let mut out = vec![ReteReactionCounters::default(); self.nreactions];
         for slice in &mut self.slices {
-            for (r, c) in slice.take_reaction_counters().into_iter().enumerate() {
+            for (r, c) in slice.net.take_reaction_counters().into_iter().enumerate() {
                 out[r].guard_evals += c.guard_evals;
                 out[r].guard_rejects += c.guard_rejects;
                 out[r].peak_tokens += c.peak_tokens;
@@ -1564,34 +1009,88 @@ impl ShardedState {
     /// `(slice count, beta tokens created across all slices)` — the
     /// [`TraceEvent::ReteBuilt`] payload for the sharded engine.
     pub(crate) fn slices_info(&self) -> (usize, u64) {
-        let tokens = self.slices.iter().map(|s| s.stats.tokens_created).sum();
+        let tokens = self.slices.iter().map(|s| s.net.stats.tokens_created).sum();
         (self.slices.len(), tokens)
     }
 
-    /// Rebuild every worker slice from `bag` (crash recovery: a panicked
-    /// worker's slice unwound with its thread, and the survivors'
-    /// memories describe a multiset that no longer exists).
+    /// Wave-boundary re-decision under [`Scheduling::Auto`](crate::seq::Scheduling::Auto)
+    /// (see [`MatcherChoices::rechoose`]): a reaction that switches to
+    /// search leaves every slice and starts dirty in its owner's ready
+    /// set. The bag is opened (every shard locked, no copy) only when a
+    /// reaction needs a fresh sample. Returns the reactions that
+    /// switched.
+    pub(crate) fn rechoose(
+        &mut self,
+        compiled: &CompiledProgram,
+        profiles: &ProfileTable,
+    ) -> Vec<usize> {
+        let bag = &self.bag;
+        let switched = self
+            .choices
+            .rechoose(compiled, profiles, || Box::new(LockedShards::all(bag)));
+        for &r in &switched {
+            for slice in &mut self.slices {
+                slice.net.unserve(compiled, r);
+                slice.ready.set(r, false);
+            }
+            self.search_owner[r] = self.owner_if_searched(compiled, r);
+            if let Some(w) = self.search_owner[r] {
+                self.slices[w].ready.set(r, true);
+            }
+        }
+        switched
+    }
+
+    /// Rebuild every worker slice's network from `bag`, with empty ready
+    /// sets (crash recovery: a panicked worker's slice unwound with its
+    /// thread, and the survivors' memories describe a multiset that no
+    /// longer exists). Callers re-arm the search dirty sets with
+    /// [`Self::arm_search`].
     fn rebuild_slices(&mut self, compiled: &CompiledProgram, bag: &ElementBag) {
-        self.slices.clear();
-        for w in 0..self.workers {
-            self.slices.push(ReteNetwork::with_slice(
-                compiled,
-                bag,
-                self.watermark,
-                AlphaSlice {
-                    plan: self.plan.clone(),
-                    worker: w,
-                },
-            ));
+        let served = self.choices.mask(Matcher::Rete);
+        self.slices = (0..self.workers)
+            .map(|w| WorkerSlice {
+                net: ReteNetwork::with_slice(
+                    compiled,
+                    bag,
+                    self.watermark,
+                    &served,
+                    AlphaSlice {
+                        plan: self.plan.clone(),
+                        worker: w,
+                    },
+                ),
+                ready: ReadySet::new(self.nreactions),
+            })
+            .collect();
+    }
+
+    /// Mark every search-served reaction dirty in its owner's ready set:
+    /// nothing is proven about it over the current bag.
+    fn arm_search(&mut self) {
+        for (r, owner) in self.search_owner.iter().enumerate() {
+            if let Some(w) = *owner {
+                self.slices[w].ready.set(r, true);
+            }
         }
     }
 
-    /// One wave of the delta-driven sharded-rete engine (see the module
-    /// docs): scoped worker threads take the persistent slices, run to
-    /// the drained-memories termination consensus, and hand the slices
-    /// back for the next wave — replayed from the wave-entry snapshot
-    /// under `ctl.recovery` if a worker is lost. Wave-level counters are
-    /// added to `par`.
+    /// Restore the bag to `bag` and rebuild the slices over it, with
+    /// every search-served reaction dirty again (the lost attempt's
+    /// dirty sets unwound with it or describe a multiset that no longer
+    /// exists).
+    fn reset_to(&mut self, compiled: &CompiledProgram, bag: &ElementBag) {
+        self.bag.drain();
+        self.bag.insert_all(bag.iter());
+        self.rebuild_slices(compiled, bag);
+        self.arm_search();
+    }
+
+    /// One wave (see the module docs): scoped worker threads take the
+    /// persistent slices, run to the drained-memories termination
+    /// consensus, and hand the slices back for the next wave — replayed
+    /// from the wave-entry snapshot under `ctl.recovery` if a worker is
+    /// lost. Wave-level counters are added to `par`.
     pub(crate) fn wave(
         &mut self,
         compiled: &CompiledProgram,
@@ -1641,7 +1140,7 @@ impl ShardedState {
                         // over it so the session stays structurally
                         // usable even though the error marks it spent.
                         let current = self.bag.snapshot();
-                        self.rebuild_slices(compiled, &current);
+                        self.reset_to(compiled, &current);
                         return Err(ParError::WorkerLost {
                             workers,
                             replays: attempt,
@@ -1649,10 +1148,9 @@ impl ShardedState {
                         .into());
                     };
                     // Quarantine the poisoned wave: restore the entry
-                    // multiset and rebuild the slices over it.
-                    self.bag.drain();
-                    self.bag.insert_all(entry.iter());
-                    self.rebuild_slices(compiled, entry);
+                    // multiset, rebuild the slices over it and re-arm
+                    // the search dirty sets.
+                    self.reset_to(compiled, entry);
                     if attempt < ctl.recovery.max_replays {
                         attempt += 1;
                         if ctl.tel.enabled() {
@@ -1687,9 +1185,7 @@ impl ShardedState {
                             for (e, _) in bag.iter_counts() {
                                 self.directory.note(e.label, e.tag);
                             }
-                            self.bag.drain();
-                            self.bag.insert_all(bag.iter());
-                            self.rebuild_slices(compiled, &bag);
+                            self.reset_to(compiled, &bag);
                             Ok(out)
                         }
                     };
@@ -1720,9 +1216,26 @@ impl ShardedState {
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers)
             .map(|_| -> DeltaChannel { crossbeam_channel::unbounded() })
             .unzip();
+        // Refresh each slice's Rete readiness against the live bag, and
+        // seed the steal worklist with every ready reaction so idle
+        // workers have targets from the start.
         let worklist = ShardedWorklist::new(workers, nreactions);
-        for r in 0..nreactions {
-            worklist.push(r % workers, r);
+        {
+            let src = ShardedSource {
+                bag: &self.bag,
+                directory: &self.directory,
+            };
+            for (w, slice) in self.slices.iter_mut().enumerate() {
+                for r in 0..nreactions {
+                    if self.search_owner[r].is_none() {
+                        let en = slice.net.has_match(compiled, &src, r);
+                        slice.ready.set(r, en);
+                    }
+                    if slice.ready.ready[r] {
+                        worklist.push(w, r);
+                    }
+                }
+            }
         }
 
         let published = AtomicU64::new(0);
@@ -1737,6 +1250,7 @@ impl ShardedState {
             compiled,
             deps: &self.deps,
             plan: &self.plan,
+            search_owner: &self.search_owner,
             bag: &self.bag,
             directory: &self.directory,
             worklist: &worklist,
@@ -1749,7 +1263,6 @@ impl ShardedState {
             budget_exhausted: &budget_exhausted,
             error: &error,
             max_firings: budget,
-            sample_cap: self.sample_cap,
             tel,
             wave: wave_index,
         };
@@ -1759,11 +1272,11 @@ impl ShardedState {
         // failed attempt winds down promptly. The receivers stay owned
         // out here so leftover deltas can be drained into the slices
         // after the wave.
-        let slice_slots: Vec<Mutex<Option<ReteNetwork>>> = std::mem::take(&mut self.slices)
+        let slice_slots: Vec<Mutex<Option<WorkerSlice>>> = std::mem::take(&mut self.slices)
             .into_iter()
             .map(|s| Mutex::new(Some(s)))
             .collect();
-        let outs: Vec<Mutex<Option<(ExecStats, ParStats, ReteNetwork)>>> =
+        let outs: Vec<Mutex<Option<(ExecStats, ParStats, WorkerSlice)>>> =
             (0..workers).map(|_| Mutex::new(None)).collect();
         let body = |w: usize| {
             let slice = slice_slots[w]
@@ -1784,11 +1297,11 @@ impl ShardedState {
         } else {
             par.pool_spawns += 1;
         }
-        let returned: Vec<Option<(ExecStats, ParStats, ReteNetwork)>> =
+        let returned: Vec<Option<(ExecStats, ParStats, WorkerSlice)>> =
             outs.into_iter().map(|slot| slot.into_inner()).collect();
 
         let mut lost: Vec<usize> = Vec::new();
-        let mut outs: Vec<(ExecStats, ParStats, ReteNetwork)> = Vec::with_capacity(workers);
+        let mut outs: Vec<(ExecStats, ParStats, WorkerSlice)> = Vec::with_capacity(workers);
         for (w, out) in returned.into_iter().enumerate() {
             match out {
                 Some(o) => outs.push(o),
@@ -1816,11 +1329,20 @@ impl ShardedState {
             bag: &self.bag,
             directory: &self.directory,
         };
-        let mut back: Vec<ReteNetwork> = Vec::with_capacity(workers);
-        for ((s, p, mut slice), rx) in outs.into_iter().zip(&receivers) {
+        let mut routed: Vec<usize> = Vec::new();
+        let mut back: Vec<WorkerSlice> = Vec::with_capacity(workers);
+        for (w, ((s, p, mut slice), rx)) in outs.into_iter().zip(&receivers).enumerate() {
             while let Ok(msg) = rx.try_recv() {
-                slice.on_removed_ids(compiled, &src, &msg.removed);
-                slice.on_inserted_ids(compiled, &src, &msg.inserted);
+                absorb_delta(
+                    compiled,
+                    &self.deps,
+                    &self.search_owner,
+                    w,
+                    &mut slice,
+                    &src,
+                    &msg,
+                    &mut routed,
+                );
             }
             stats.absorb(&s);
             wave_par.absorb_wave_counters(&p);
@@ -1828,10 +1350,9 @@ impl ShardedState {
         }
         self.slices = back;
 
-        // Error before aggregation (matching `ProbeState::wave`): a
-        // failed wave contributes nothing to the session's cumulative
-        // counters, and the error propagating out of `run_to_stable`
-        // marks the session unusable either way.
+        // Error before aggregation: a failed wave contributes nothing to
+        // the session's cumulative counters, and the error propagating
+        // out of `run_to_stable` marks the session unusable either way.
         if let Some(e) = error.lock().take() {
             return Err(WaveFailure::Exec(ExecError::Match(e)));
         }
@@ -1844,11 +1365,12 @@ impl ShardedState {
             Status::Stable
         };
 
-        // Debug cross-check of the memory-emptiness termination proof: the
-        // locked-shard exact matcher must agree that nothing is enabled.
+        // Debug cross-check of the drained-memories termination proof:
+        // the locked-shard exact matcher must agree that nothing is
+        // enabled.
         #[cfg(debug_assertions)]
         if status == Status::Stable {
-            let locked = LockedShards::lock(&self.bag);
+            let locked = LockedShards::all(&self.bag);
             let order: Vec<usize> = (0..nreactions).collect();
             let mut scratch = SearchScratch::new();
             let confirm = compiled
@@ -1866,13 +1388,11 @@ impl ShardedState {
     }
 }
 
-/// One sharded-rete worker: drain the delta mailbox into the local slice,
-/// fire from the slice's memorised matches, steal searches when dry, and
-/// participate in the drained-memories termination consensus.
 /// Per-worker readiness bookkeeping: a `ready` bitmap plus a lazily
 /// purged candidate list (stale entries are dropped at pick time), so
 /// maintenance is O(1) per enabledness flip instead of O(reactions) per
-/// delta batch.
+/// delta batch. A Rete-served reaction is ready while its slice holds a
+/// match; a search-served one while it is dirty.
 struct ReadySet {
     ready: Vec<bool>,
     list: Vec<usize>,
@@ -1909,15 +1429,63 @@ impl ReadySet {
     }
 }
 
+/// Feed one delta into worker `w`'s slice and refresh the readiness of
+/// the reactions it routes to: a Rete-served reaction re-reads its
+/// slice, and a search-served reaction `w` owns turns dirty when the
+/// delta inserts an element it consumes (removals never enable a match,
+/// so they leave its clean proof standing).
+#[allow(clippy::too_many_arguments)]
+fn absorb_delta<S: MatchSource>(
+    compiled: &CompiledProgram,
+    deps: &DependencyIndex,
+    search_owner: &[Option<usize>],
+    w: usize,
+    slice: &mut WorkerSlice,
+    src: &S,
+    msg: &DeltaMsg,
+    routed: &mut Vec<usize>,
+) {
+    routed.clear();
+    for &id in &msg.removed {
+        deps.for_each_dependent(id.label(), |r| {
+            if search_owner[r].is_none() {
+                routed.push(r);
+            }
+        });
+    }
+    for &id in &msg.inserted {
+        deps.for_each_dependent(id.label(), |r| routed.push(r));
+    }
+    slice.net.on_removed_ids(compiled, src, &msg.removed);
+    slice.net.on_inserted_ids(compiled, src, &msg.inserted);
+    routed.sort_unstable();
+    routed.dedup();
+    for &r in routed.iter() {
+        match search_owner[r] {
+            None => {
+                let en = slice.net.has_match(compiled, src, r);
+                slice.ready.set(r, en);
+            }
+            Some(owner) if owner == w => slice.ready.set(r, true),
+            Some(_) => {}
+        }
+    }
+}
+
+/// One worker: drain the delta mailbox into the local slice, fire what
+/// the ready set offers (a memorised match read off the slice, or an
+/// exact in-place search of a dirty search-served reaction), steal
+/// searches when nothing is ready, and take part in the drained-memories
+/// termination consensus.
 fn sharded_worker(
     shared: &SharedRun<'_>,
     w: usize,
-    mut slice: ReteNetwork,
+    mut slice: WorkerSlice,
     rx: &Receiver<Arc<DeltaMsg>>,
     seed: u64,
     nreactions: usize,
     wf: WaveFaults<'_>,
-) -> (ExecStats, ParStats, ReteNetwork) {
+) -> (ExecStats, ParStats, WorkerSlice) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(w as u64 * 0x9e37).wrapping_add(1));
     let mut stats = ExecStats::new(nreactions);
     let mut par = ParStats::default();
@@ -1926,7 +1494,7 @@ fn sharded_worker(
         directory: shared.directory,
     };
     let mut scratch = SearchScratch::new();
-    let mut ready = ReadySet::new(nreactions);
+    let mut ids: Vec<usize> = Vec::new();
     let mut routed: Vec<usize> = Vec::new();
     let workers = shared.processed.len();
     // Worker-local event counters: the deterministic coordinates fault
@@ -1938,34 +1506,27 @@ fn sharded_worker(
     // worker's trace timeline totally ordered).
     let mut wev = 0u64;
 
-    // Initial readiness from the freshly built slice.
-    for r in 0..nreactions {
-        let en = slice.has_match(shared.compiled, &src, r);
-        ready.set(r, en);
-    }
-
-    // Drain one delta message into the slice and refresh the readiness of
-    // the reactions it routed to.
-    let absorb = |msg: Arc<DeltaMsg>,
-                  slice: &mut ReteNetwork,
-                  ready: &mut ReadySet,
-                  routed: &mut Vec<usize>,
-                  par: &mut ParStats,
-                  nth: u64,
-                  wev: &mut u64| {
+    // Drain one delta message into the slice.
+    let mut absorb = |msg: Arc<DeltaMsg>,
+                      slice: &mut WorkerSlice,
+                      par: &mut ParStats,
+                      nth: u64,
+                      wev: &mut u64| {
         // Fault point: a `MailboxDrop` here models the delta never
         // reaching this slice (it panics — the honest rendering, since
         // silently skipping the message would desynchronise the slice
         // from the bag); a `MailboxDelay` stalls before absorbing.
         wf.on_delta(w, nth);
-        routed.clear();
-        for &id in msg.removed.iter().chain(msg.inserted.iter()) {
-            shared
-                .deps
-                .for_each_dependent(id.label(), |r| routed.push(r));
-        }
-        slice.on_removed_ids(shared.compiled, &src, &msg.removed);
-        slice.on_inserted_ids(shared.compiled, &src, &msg.inserted);
+        absorb_delta(
+            shared.compiled,
+            shared.deps,
+            shared.search_owner,
+            w,
+            slice,
+            &src,
+            &msg,
+            &mut routed,
+        );
         shared.processed[w].fetch_add(1, Ordering::AcqRel);
         par.deltas_processed += 1;
         if shared.tel.enabled() {
@@ -1977,12 +1538,6 @@ fn sharded_worker(
             );
             *wev += 1;
         }
-        routed.sort_unstable();
-        routed.dedup();
-        for &r in routed.iter() {
-            let en = slice.has_match(shared.compiled, &src, r);
-            ready.set(r, en);
-        }
     };
 
     'main: while !shared.stopped() {
@@ -1991,201 +1546,157 @@ fn sharded_worker(
         let mut drained_any = false;
         while let Ok(msg) = rx.try_recv() {
             msgs += 1;
-            absorb(
-                msg,
-                &mut slice,
-                &mut ready,
-                &mut routed,
-                &mut par,
-                msgs,
-                &mut wev,
-            );
+            absorb(msg, &mut slice, &mut par, msgs, &mut wev);
             drained_any = true;
         }
 
-        // 2. Fire from the slice: an O(1) read of a memorised match (or a
-        //    cached spill completion), then an atomic claim.
-        if let Some(r) = ready.pick(&mut rng) {
-            match slice.pick_firing(shared.compiled, &src, r, &mut rng) {
-                Err(e) => {
-                    *shared.error.lock() = Some(e);
-                    shared.done.store(true, Ordering::Release);
-                    break 'main;
-                }
-                Ok(None) => {
-                    // A stale cached spill answer raced a concurrent
-                    // claim; the correcting delta is already on its way.
-                    ready.set(r, false);
-                }
-                Ok(Some(firing)) => {
-                    if shared
-                        .bag
-                        .claim_and_replace(&firing.consumed, &firing.produced)
-                    {
-                        stats.record_firing(firing.reaction, &firing);
-                        wake_dependents(shared, w, &firing);
-                        let addressed = shared.publish(&firing);
-                        if shared.tel.enabled() {
-                            let name = &shared.compiled.reactions[firing.reaction].name;
-                            shared.tel.emit(
-                                w as i64,
-                                wev,
-                                shared.wave,
-                                firing_event(name, &firing, 0, false),
-                            );
-                            shared.tel.emit(
-                                w as i64,
-                                wev + 1,
-                                shared.wave,
-                                TraceEvent::DeltaPublished {
-                                    reaction: firing.reaction,
-                                    addressed,
-                                },
-                            );
-                            wev += 2;
+        // 2. Fire what the ready set offers — an O(1) read of a
+        //    memorised match (or a cached spill completion), or an exact
+        //    search of a dirty search-served reaction — then claim.
+        // 3. Nothing ready: steal a woken reaction and search it exactly
+        //    (rebalances skewed component ownership; the claim
+        //    re-validates, and exactness lives with the owners, never
+        //    with thieves).
+        let (r, stolen) = match slice.ready.pick(&mut rng) {
+            Some(r) => (r, false),
+            None => match shared
+                .worklist
+                .pop_local(w)
+                .or_else(|| shared.worklist.steal(w))
+            {
+                Some(r) => (r, true),
+                None => {
+                    // 4. Idle: drained mailbox, nothing ready, empty
+                    //    worklist. Join the termination consensus; leave
+                    //    on the first delta.
+                    shared.active[w].store(false, Ordering::Release);
+                    loop {
+                        if shared.stopped() {
+                            break 'main;
                         }
-                        fired_local += 1;
-                        wf.on_firing(w, fired_local);
-                    } else {
-                        par.claim_failures += 1;
-                        if !drained_any {
-                            // The winner has not published yet; give it a
-                            // beat instead of burning the lock.
-                            std::thread::yield_now();
+                        // The drained-memories termination proof: every
+                        // addressed delta processed by its worker,
+                        // nobody active, and the firing count unchanged
+                        // across the scan — then every slice is exact,
+                        // no slice holds a match and no search-served
+                        // reaction is dirty, so no reaction is enabled
+                        // anywhere (Eq. (1)'s global termination state).
+                        let p1 = shared.published.load(Ordering::Acquire);
+                        let all_drained = shared
+                            .processed
+                            .iter()
+                            .zip(shared.sent.iter())
+                            .all(|(p, s)| p.load(Ordering::Acquire) == s.load(Ordering::Acquire));
+                        let all_idle =
+                            (0..workers).all(|v| !shared.active[v].load(Ordering::Acquire));
+                        if all_drained && all_idle && shared.published.load(Ordering::Acquire) == p1
+                        {
+                            shared.done.store(true, Ordering::Release);
+                            break 'main;
+                        }
+                        match rx.recv_timeout(Duration::from_micros(200)) {
+                            Ok(msg) => {
+                                shared.active[w].store(true, Ordering::Release);
+                                msgs += 1;
+                                absorb(msg, &mut slice, &mut par, msgs, &mut wev);
+                                continue 'main;
+                            }
+                            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                                // Steal hints do not arrive through the
+                                // mailbox; an idle worker re-checks the
+                                // worklist on every tick.
+                                if !shared.worklist.is_empty() {
+                                    shared.active[w].store(true, Ordering::Release);
+                                    continue 'main;
+                                }
+                            }
+                            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break 'main,
                         }
                     }
                 }
-            }
-            continue;
-        }
-
-        // 3. Slice dry: steal a woken reaction and search it with the
-        //    sampled probe-retry view (rebalances skewed component
-        //    ownership; sampling is safe because the claim re-validates,
-        //    and exactness lives in the slices, never in thieves).
-        if let Some(r) = shared
-            .worklist
-            .pop_local(w)
-            .or_else(|| shared.worklist.steal(w))
-        {
-            use rand::Rng as _;
-            let sampled = ShardedView {
-                bag: shared.bag,
-                directory: shared.directory,
-                sample_cap: shared.sample_cap,
-                salt: rng.gen(),
-            };
-            match shared.compiled.reactions[r].find_match_fast(
+            },
+        };
+        let found = if stolen || shared.search_owner[r].is_some() {
+            search_exact(
+                shared.compiled,
+                shared.bag,
+                shared.directory,
                 r,
-                &sampled,
-                Some(&mut rng),
+                &mut rng,
                 &mut scratch,
-            ) {
-                Err(e) => {
-                    *shared.error.lock() = Some(e);
-                    shared.done.store(true, Ordering::Release);
-                    break 'main;
-                }
-                Ok(Some(firing)) => {
-                    if shared
-                        .bag
-                        .claim_and_replace(&firing.consumed, &firing.produced)
-                    {
-                        par.stolen_firings += 1;
-                        stats.record_firing(firing.reaction, &firing);
-                        wake_dependents(shared, w, &firing);
-                        let addressed = shared.publish(&firing);
-                        if shared.tel.enabled() {
-                            let name = &shared.compiled.reactions[firing.reaction].name;
-                            shared.tel.emit(
-                                w as i64,
-                                wev,
-                                shared.wave,
-                                firing_event(name, &firing, 0, true),
-                            );
-                            shared.tel.emit(
-                                w as i64,
-                                wev + 1,
-                                shared.wave,
-                                TraceEvent::DeltaPublished {
-                                    reaction: firing.reaction,
-                                    addressed,
-                                },
-                            );
-                            wev += 2;
-                        }
-                        fired_local += 1;
-                        wf.on_firing(w, fired_local);
-                    } else {
-                        par.claim_failures += 1;
-                    }
-                }
-                Ok(None) => {
-                    par.steal_misses += 1;
-                    if shared.tel.enabled() {
-                        shared.tel.emit(
-                            w as i64,
-                            wev,
-                            shared.wave,
-                            TraceEvent::StealMiss { reaction: r },
-                        );
-                        wev += 1;
-                    }
-                }
-            }
-            continue;
-        }
-
-        // 4. Idle: drained mailbox, dry slice, empty worklist. Join the
-        //    termination consensus; leave on the first delta.
-        shared.active[w].store(false, Ordering::Release);
-        loop {
-            if shared.stopped() {
-                break 'main;
-            }
-            // The drained-memories termination proof: every addressed
-            // delta processed by its worker, nobody active, and the
-            // firing count unchanged across the scan — then every slice
-            // is exact, no slice holds a match, and their union is the
-            // full network, so no reaction is enabled anywhere (Eq. (1)'s
-            // global termination state).
-            let p1 = shared.published.load(Ordering::Acquire);
-            let all_drained = shared
-                .processed
-                .iter()
-                .zip(shared.sent.iter())
-                .all(|(p, s)| p.load(Ordering::Acquire) == s.load(Ordering::Acquire));
-            let all_idle = (0..workers).all(|v| !shared.active[v].load(Ordering::Acquire));
-            if all_drained && all_idle && shared.published.load(Ordering::Acquire) == p1 {
+                &mut ids,
+            )
+        } else {
+            slice.net.pick_firing(shared.compiled, &src, r, &mut rng)
+        };
+        let firing = match found {
+            Err(e) => {
+                *shared.error.lock() = Some(e);
                 shared.done.store(true, Ordering::Release);
                 break 'main;
             }
-            match rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(msg) => {
-                    shared.active[w].store(true, Ordering::Release);
-                    msgs += 1;
-                    absorb(
-                        msg,
-                        &mut slice,
-                        &mut ready,
-                        &mut routed,
-                        &mut par,
-                        msgs,
-                        &mut wev,
+            Ok(Some(firing)) => firing,
+            Ok(None) if stolen => {
+                par.steal_misses += 1;
+                if shared.tel.enabled() {
+                    shared.tel.emit(
+                        w as i64,
+                        wev,
+                        shared.wave,
+                        TraceEvent::StealMiss { reaction: r },
                     );
-                    continue 'main;
+                    wev += 1;
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    // Steal hints do not arrive through the mailbox; an
-                    // idle worker re-checks the worklist on every tick.
-                    if !shared.worklist.is_empty() {
-                        shared.active[w].store(true, Ordering::Release);
-                        continue 'main;
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break 'main,
+                continue;
             }
+            Ok(None) => {
+                // A search-served reaction just proved matchless (until
+                // an insertion routes to it), or a stale cached spill
+                // answer raced a concurrent claim (the correcting delta
+                // is already on its way).
+                slice.ready.set(r, false);
+                continue;
+            }
+        };
+        if !shared
+            .bag
+            .claim_and_replace(&firing.consumed, &firing.produced)
+        {
+            par.claim_failures += 1;
+            if !stolen && !drained_any {
+                // The winner has not published yet; give it a beat
+                // instead of burning the lock.
+                std::thread::yield_now();
+            }
+            continue;
         }
+        if stolen {
+            par.stolen_firings += 1;
+        }
+        stats.record_firing(firing.reaction, &firing);
+        wake_dependents(shared, w, &firing);
+        let addressed = shared.publish(&firing);
+        if shared.tel.enabled() {
+            let name = &shared.compiled.reactions[firing.reaction].name;
+            shared.tel.emit(
+                w as i64,
+                wev,
+                shared.wave,
+                firing_event(name, &firing, 0, stolen),
+            );
+            shared.tel.emit(
+                w as i64,
+                wev + 1,
+                shared.wave,
+                TraceEvent::DeltaPublished {
+                    reaction: firing.reaction,
+                    addressed,
+                },
+            );
+            wev += 2;
+        }
+        fired_local += 1;
+        wf.on_firing(w, fired_local);
     }
 
     (stats, par, slice)
@@ -2206,6 +1717,7 @@ fn wake_dependents(shared: &SharedRun<'_>, w: usize, firing: &Firing) {
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::seq::Scheduling;
     use crate::session::Engine;
     use crate::spec::{ElementSpec, Pattern, ReactionSpec};
     use gammaflow_multiset::value::{BinOp, CmpOp};
@@ -2281,7 +1793,7 @@ mod tests {
         let result = run_parallel(&diverge, initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::BudgetExhausted);
         // Workers can slightly overshoot only by in-flight firings; with the
-        // check inside try_fire the count is bounded by max + workers.
+        // check inside publish the count is bounded by max + workers.
         assert!(result.exec.stats.firings_total() >= 50);
         assert!(result.exec.stats.firings_total() <= 52);
     }
@@ -2333,58 +1845,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_probe_preclears_unfireable_reactions() {
-        // Probe-retry engine: a two-stage chain where `later` cannot fire
-        // until `first` produces, so the startup occupancy probe must
-        // pre-clear it.
-        let chain = GammaProgram::new(vec![
-            ReactionSpec::new("first")
-                .replace(Pattern::pair("x", "a"))
-                .by(vec![ElementSpec::pair(Expr::var("x"), "b")]),
-            ReactionSpec::new("later")
-                .replace(Pattern::pair("x", "b"))
-                .by(vec![ElementSpec::pair(Expr::var("x"), "c")]),
-        ]);
-        let initial: ElementBag = (1..=4).map(|v| e(v, "a", 0)).collect();
-        let config = EngineConfig {
-            engine: Engine::Parallel(ParEngine::ProbeRetry),
-            ..EngineConfig::parallel(2)
-        };
-        let result = run_parallel(&chain, initial, &config).unwrap();
-        assert_eq!(result.par.rete_precleared, 1);
-        assert_eq!(result.exec.status, Status::Stable);
-        assert_eq!(result.exec.multiset.count_label("c".into()), 4);
-    }
-
-    #[test]
-    fn probe_retry_matches_sharded_finals() {
-        // Both engines on the same confluent workloads land on identical
-        // final multisets.
-        for (program, initial) in [
-            (
-                sum_program(),
-                (1..=60).map(|v| e(v, "n", 0)).collect::<ElementBag>(),
-            ),
-            (
-                max_program(),
-                [4, 9, 2, 9, 1].iter().map(|&v| e(v, "n", 0)).collect(),
-            ),
-        ] {
-            let mut finals = Vec::new();
-            for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-                let config = EngineConfig {
-                    engine: Engine::Parallel(engine),
-                    ..EngineConfig::parallel(4)
-                };
-                let result = run_parallel(&program, initial.clone(), &config).unwrap();
-                assert_eq!(result.exec.status, Status::Stable);
-                finals.push(result.exec.multiset);
-            }
-            assert_eq!(finals[0], finals[1]);
-        }
-    }
-
-    #[test]
     fn sharded_engine_publishes_and_drains_deltas() {
         let initial: ElementBag = (1..=50).map(|v| e(v, "n", 0)).collect();
         let config = EngineConfig::parallel(3);
@@ -2401,6 +1861,25 @@ mod tests {
             "one worker owns the single component: {par:?}"
         );
         assert_eq!(par.shard_peak_tokens.len(), 3);
+    }
+
+    #[test]
+    fn search_served_fold_memorises_no_tokens() {
+        // `Auto` gives the dense fold to search: no slice memorises it,
+        // its owner's dirty set and the thieves' exact searches fire it.
+        let initial: ElementBag = (1..=200).map(|v| e(v, "n", 0)).collect();
+        let mut session = Session::build(&sum_program())
+            .config(EngineConfig::parallel(4))
+            .start(initial)
+            .unwrap();
+        assert_eq!(session.matchers(), Some(vec![Matcher::Search]));
+        session.run_to_stable().unwrap();
+        let result = session.finish_parallel();
+        assert_eq!(
+            result.exec.multiset.sorted_elements(),
+            vec![e(20100, "n", 0)]
+        );
+        assert_eq!(result.par.shard_peak_tokens, vec![0; 4], "{:?}", result.par);
     }
 
     #[test]
@@ -2425,13 +1904,14 @@ mod tests {
 
     #[test]
     fn sharded_slices_respect_watermark_and_record_spills() {
-        // An unguarded n² fold with a tiny per-slice watermark: the
-        // owning slice must demote, probe through the spill, and record a
-        // bounded peak.
+        // An unguarded n² fold held on Rete with a tiny per-slice
+        // watermark: the owning slice must demote, probe through the
+        // spill, and record a bounded peak.
         let n = 120i64;
         let initial: ElementBag = (1..=n).map(|v| e(v, "n", 0)).collect();
         let config = EngineConfig {
             rete_watermark: 500,
+            scheduling: Scheduling::Rete,
             ..EngineConfig::parallel(2)
         };
         let result = run_parallel(&sum_program(), initial, &config).unwrap();
@@ -2447,23 +1927,6 @@ mod tests {
                 "worker {w} peak {peak} exceeds watermark + delta burst: {par:?}"
             );
         }
-    }
-
-    #[test]
-    fn probe_retry_startup_probe_spills_are_accounted() {
-        // The startup occupancy probe runs at watermark 256; a 2-ary
-        // unguarded fold over 300 elements forces it to demote and probe
-        // through the spill — those counters must reach ParStats (the
-        // aggregation used to drop them).
-        let initial: ElementBag = (1..=300).map(|v| e(v, "n", 0)).collect();
-        let config = EngineConfig {
-            engine: Engine::Parallel(ParEngine::ProbeRetry),
-            ..EngineConfig::parallel(2)
-        };
-        let result = run_parallel(&sum_program(), initial, &config).unwrap();
-        assert_eq!(result.exec.status, Status::Stable);
-        assert!(result.par.spill_demotions > 0, "{:?}", result.par);
-        assert!(result.par.spill_probes > 0, "{:?}", result.par);
     }
 
     #[test]
@@ -2561,9 +2024,7 @@ mod tests {
     fn distinct_par_stats() -> ParStats {
         ParStats {
             claim_failures: 1,
-            dry_probes: 2,
             snapshot_checks: 3,
-            rete_precleared: 4,
             deltas_published: 5,
             deltas_processed: 6,
             stolen_firings: 7,
@@ -2587,7 +2048,6 @@ mod tests {
         a.absorb_wave_counters(&b);
         // Wave-level scalars add…
         assert_eq!(a.claim_failures, 2);
-        assert_eq!(a.dry_probes, 4);
         assert_eq!(a.snapshot_checks, 6);
         assert_eq!(a.deltas_published, 10);
         assert_eq!(a.deltas_processed, 12);
@@ -2595,7 +2055,6 @@ mod tests {
         assert_eq!(a.steal_misses, 16);
         // …lifetime fields are deliberately untouched (folded once by
         // `fold_lifetime_stats`)…
-        assert_eq!(a.rete_precleared, 4);
         assert_eq!(a.spill_demotions, 9);
         assert_eq!(a.spill_probes, 10);
         assert_eq!(a.spill_repromotions, 11);
@@ -2616,9 +2075,7 @@ mod tests {
         let b = distinct_par_stats();
         a.absorb(&b);
         assert_eq!(a.claim_failures, 2);
-        assert_eq!(a.dry_probes, 4);
         assert_eq!(a.snapshot_checks, 6);
-        assert_eq!(a.rete_precleared, 8);
         assert_eq!(a.deltas_published, 10);
         assert_eq!(a.deltas_processed, 12);
         assert_eq!(a.stolen_firings, 14);

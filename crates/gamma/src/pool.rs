@@ -1,6 +1,6 @@
 //! Long-lived parked worker pool for wave dispatch.
 //!
-//! The parallel engines historically spawned one scoped thread per
+//! The parallel engine historically spawned one scoped thread per
 //! worker per wave. A wave over a small injection batch fires a handful
 //! of reactions, so thread creation dominated its cost — and a service
 //! multiplexing thousands of sessions pays that cost on every wave of

@@ -1144,18 +1144,19 @@ impl ReteNetwork {
         Self::build(compiled, initial, watermark, served, None)
     }
 
-    /// Build one worker's *slice* of the network: only matches anchored
-    /// (at join-order position 0) in the slice's alpha shards are
-    /// memorised. The union of the `slice.workers` slices is exactly the
-    /// full network, with every token owned by one worker.
+    /// Build one worker's *slice* of the network over the reactions with
+    /// `served[r]` set: only matches anchored (at join-order position 0)
+    /// in the slice's alpha shards are memorised. The union of the
+    /// `slice.workers` slices is exactly the network over the served
+    /// reactions, with every token owned by one worker.
     pub fn with_slice<S: MatchSource>(
         compiled: &CompiledProgram,
         initial: &S,
         watermark: usize,
+        served: &[bool],
         slice: AlphaSlice,
     ) -> ReteNetwork {
-        let all = vec![true; compiled.reactions.len()];
-        Self::build(compiled, initial, watermark, &all, Some(slice))
+        Self::build(compiled, initial, watermark, served, Some(slice))
     }
 
     fn build<S: MatchSource>(
@@ -2027,6 +2028,7 @@ mod tests {
                     compiled,
                     bag,
                     DEFAULT_SPILL_WATERMARK,
+                    &vec![true; compiled.reactions.len()],
                     AlphaSlice {
                         plan: plan.clone(),
                         worker: w,

@@ -55,9 +55,11 @@
 //! random programs.
 
 use crate::compiled::{
-    CompiledProgram, CompiledReaction, Firing, FrontierCursors, MatchError, SearchScratch,
+    CompiledProgram, CompiledReaction, Firing, FrontierCursors, MatchError, MatchSource,
+    SearchScratch,
 };
-use crate::telemetry::ReactionProfile;
+use crate::seq::Scheduling;
+use crate::telemetry::{ProfileTable, ReactionProfile};
 use gammaflow_multiset::{ElemId, Element, ElementBag, FxHashMap, Symbol};
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -529,8 +531,8 @@ impl DeltaScheduler {
     }
 }
 
-/// Which matcher serves one reaction of a sequential session. Under
-/// [`Scheduling::Auto`](crate::seq::Scheduling::Auto) the choice is made
+/// Which matcher serves one reaction of a session. Under
+/// [`Scheduling::Auto`] the choice is made
 /// per reaction by cost (a guard pass rate against the bucket size); the
 /// explicit schedulings force one matcher for every reaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -605,9 +607,9 @@ pub struct MatcherChoice {
 ///     about that size, even if the wave has since reduced the bag).
 ///   * Otherwise [`PASS_RATE_SAMPLE`] sampled candidate pairs of `bag`.
 /// * No estimate at all (an empty bag): Rete.
-pub(crate) fn choose_matcher(
+pub(crate) fn choose_matcher<S: MatchSource>(
     cr: &CompiledReaction,
-    bag: &ElementBag,
+    bag: &S,
     profile: Option<&ReactionProfile>,
 ) -> MatcherChoice {
     let rete = MatcherChoice {
@@ -644,6 +646,145 @@ pub(crate) fn choose_matcher(
             },
             pass_rate: Some(p),
         },
+    }
+}
+
+/// The per-reaction matcher choice of a session, shared by the
+/// sequential matchers and the sharded parallel engine: which matcher
+/// serves each reaction, plus the evidence bookkeeping of the
+/// wave-boundary re-decision. [`Scheduling::Rete`] and
+/// [`Scheduling::Delta`] force one matcher for every reaction;
+/// [`Scheduling::Auto`] chooses per reaction by cost
+/// ([`choose_matcher`]) and may later move a reaction from Rete to
+/// search ([`MatcherChoices::rechoose`]).
+#[derive(Debug, Clone)]
+pub(crate) struct MatcherChoices {
+    choice: Vec<MatcherChoice>,
+    /// Cumulative guard evaluations plus firings at each reaction's last
+    /// decision: a wave that added neither gives no reason to re-decide.
+    decided_at: Vec<u64>,
+    /// Wave-boundary matcher switches so far.
+    switches: u64,
+}
+
+impl MatcherChoices {
+    /// The build-time choice over `bag`: forced by the explicit
+    /// schedulings, by cost otherwise.
+    pub(crate) fn choose<S: MatchSource>(
+        compiled: &CompiledProgram,
+        bag: &S,
+        scheduling: Scheduling,
+    ) -> MatcherChoices {
+        let forced = |matcher| MatcherChoice {
+            matcher,
+            pass_rate: None,
+        };
+        let choice: Vec<MatcherChoice> = compiled
+            .reactions
+            .iter()
+            .map(|cr| match scheduling {
+                Scheduling::Rete => forced(Matcher::Rete),
+                Scheduling::Delta => forced(Matcher::Search),
+                _ => choose_matcher(cr, bag, None),
+            })
+            .collect();
+        MatcherChoices {
+            decided_at: vec![0; choice.len()],
+            choice,
+            switches: 0,
+        }
+    }
+
+    /// The choice a snapshot captured, when it fits `compiled` (else a
+    /// fresh [`Self::choose`] over `bag`), with the re-decision
+    /// baselines resumed from the restored `profiles`: a restored
+    /// session resumes on the matchers it had switched to instead of
+    /// re-deciding from the restored bag.
+    pub(crate) fn restore<S: MatchSource>(
+        compiled: &CompiledProgram,
+        bag: &S,
+        scheduling: Scheduling,
+        captured: Option<Vec<MatcherChoice>>,
+        switches: u64,
+        profiles: &ProfileTable,
+    ) -> MatcherChoices {
+        let mut choices = match captured {
+            Some(choice) if choice.len() == compiled.reactions.len() => MatcherChoices {
+                decided_at: vec![0; choice.len()],
+                choice,
+                switches: 0,
+            },
+            _ => Self::choose(compiled, bag, scheduling),
+        };
+        choices.switches = switches;
+        for (seen, row) in choices.decided_at.iter_mut().zip(&profiles.rows) {
+            *seen = row.guard_evals + row.fired;
+        }
+        choices
+    }
+
+    /// The matcher serving reaction `r`.
+    pub(crate) fn matcher(&self, r: usize) -> Matcher {
+        self.choice[r].matcher
+    }
+
+    /// Every reaction's choice, in reaction order.
+    pub(crate) fn as_slice(&self) -> &[MatcherChoice] {
+        &self.choice
+    }
+
+    /// Which reactions `matcher` serves.
+    pub(crate) fn mask(&self, matcher: Matcher) -> Vec<bool> {
+        self.choice.iter().map(|c| c.matcher == matcher).collect()
+    }
+
+    /// Wave-boundary matcher switches so far.
+    pub(crate) fn switches(&self) -> u64 {
+        self.switches
+    }
+
+    /// Wave-boundary re-decision under [`Scheduling::Auto`]. A reaction
+    /// still on Rete that fired or evaluated guards since its last
+    /// decision is re-decided from its profile (or a fresh sample of the
+    /// bag, which `bag` opens on first need); when search wins it
+    /// switches. Search never hands a reaction back: its cost is bounded
+    /// by the candidates it examines, and a one-way switch cannot
+    /// oscillate. Returns the reactions that switched — the caller moves
+    /// each from its join network to its search matcher.
+    pub(crate) fn rechoose<B, S>(
+        &mut self,
+        compiled: &CompiledProgram,
+        profiles: &ProfileTable,
+        bag: impl FnOnce() -> B,
+    ) -> Vec<usize>
+    where
+        B: std::ops::Deref<Target = S>,
+        S: MatchSource,
+    {
+        let mut open = Some(bag);
+        let mut source: Option<B> = None;
+        let mut switched = Vec::new();
+        for (r, row) in profiles.rows.iter().enumerate() {
+            let evidence = row.guard_evals + row.fired;
+            if self.choice[r].matcher != Matcher::Rete || evidence == self.decided_at[r] {
+                continue;
+            }
+            self.decided_at[r] = evidence;
+            let cr = &compiled.reactions[r];
+            if !cr.search_eligible() {
+                continue;
+            }
+            let bag = source.get_or_insert_with(|| (open.take().expect("opened once"))());
+            let next = choose_matcher(cr, &**bag, Some(row));
+            if next.pass_rate.is_some() {
+                self.choice[r] = next;
+            }
+            if next.matcher == Matcher::Search {
+                self.switches += 1;
+                switched.push(r);
+            }
+        }
+        switched
     }
 }
 

@@ -68,7 +68,8 @@ pub enum Scheduling {
     /// as a cost rule decides from the program and the bag (see
     /// [`Matcher`](crate::schedule::Matcher)) — dense all-pairs folds are searched,
     /// selective and tag-keyed joins keep Rete memories. Decisions are
-    /// revisited only at wave boundaries and carried in snapshots.
+    /// revisited only at wave boundaries and carried in snapshots; the
+    /// sharded parallel engine takes the same choice per reaction.
     /// Observable behaviour is identical to `Rescan`: same stable states,
     /// and under [`Selection::Deterministic`] the same firing trace.
     #[default]

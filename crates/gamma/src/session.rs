@@ -55,17 +55,14 @@
 //! | `Seq` + `Delta` | worklist + clean/dirty proof state | — |
 //! | `Seq` + `Rete` | alpha/beta memories, spill + re-promotion state | — |
 //! | `Seq` + `Auto` | per-reaction matcher choice, plus the above for the reactions each matcher serves | — |
-//! | `Parallel(ShardedRete)` | sharded bag, key directory, per-worker network slices | worker threads, mailboxes, steal worklist |
-//! | `Parallel(ProbeRetry)` | sharded bag, key directory, dirty flags | worker threads |
+//! | `Parallel(ShardedRete)` | sharded bag, key directory, per-reaction matcher choice, per-worker network slices and search dirty sets | worker threads, mailboxes, steal worklist |
 
 use crate::compiled::{CompiledProgram, Firing, SearchScratch};
 use crate::fault::{FaultPlan, WaveFaults};
-use crate::parallel::{
-    ParEngine, ParResult, ParStats, ProbeState, RecoveryPolicy, ShardedState, WaveCtl,
-};
+use crate::parallel::{ParEngine, ParResult, ParStats, RecoveryPolicy, ShardedState, WaveCtl};
 use crate::pool::WorkerPool;
 use crate::rete::{ReteNetwork, ReteStats};
-use crate::schedule::{choose_matcher, DeltaScheduler, Matcher, MatcherChoice, SchedStats};
+use crate::schedule::{DeltaScheduler, Matcher, MatcherChoice, MatcherChoices, SchedStats};
 use crate::seq::{ExecError, ExecResult, Scheduling, Selection, Status};
 use crate::spec::GammaProgram;
 use crate::telemetry::{
@@ -88,9 +85,8 @@ pub enum Engine {
     /// [`EngineConfig::scheduling`].
     #[default]
     Seq,
-    /// The shared-memory parallel interpreter over a sharded multiset;
-    /// worker loop selected by the [`ParEngine`] payload,
-    /// [`EngineConfig::workers`] threads.
+    /// The shared-memory parallel interpreter over a sharded multiset
+    /// (the [`ParEngine`] payload), [`EngineConfig::workers`] threads.
     Parallel(ParEngine),
 }
 
@@ -102,8 +98,11 @@ pub enum Engine {
 pub struct EngineConfig {
     /// Which engine runs the waves.
     pub engine: Engine,
-    /// Sequential per-step strategy (ignored by parallel engines, which
-    /// are delta-driven by construction).
+    /// Per-reaction matcher strategy. The sharded parallel engine takes
+    /// the same Rete / search choice per reaction as a sequential session
+    /// under [`Scheduling::Rete`], [`Scheduling::Delta`] and
+    /// [`Scheduling::Auto`]; [`Scheduling::Rescan`], a sequential
+    /// reference, makes it choose by cost once, at build.
     pub scheduling: Scheduling,
     /// Reaction/tuple selection policy. Parallel workers draw from
     /// per-worker streams based on the [`Selection::Seeded`] seed (`0`
@@ -120,13 +119,10 @@ pub struct EngineConfig {
     /// Exactness does not depend on the value; it only trades memory
     /// for recomputation.
     pub rete_watermark: usize,
-    /// Worker threads (parallel engines).
+    /// Worker threads (parallel engine).
     pub workers: usize,
-    /// Multiset shards, rounded up to a power of two (parallel engines).
+    /// Multiset shards, rounded up to a power of two (parallel engine).
     pub shards: usize,
-    /// Bucket sampling cap for probe-retry searches and sharded-engine
-    /// thieves (parallel engines).
-    pub sample_cap: usize,
     /// Injection backpressure: the bag-size budget [`Session::inject`]
     /// admits elements against. An injection that would push the live
     /// multiset past this many elements is truncated and the overflow
@@ -179,7 +175,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             shards: 64,
-            sample_cap: 64,
             bag_budget: u64::MAX,
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::default(),
@@ -390,9 +385,7 @@ enum SeqMatcher {
 /// The sequential matchers: every reaction is served either by the Rete
 /// join network (alpha/beta memories, spill and re-promotion state) or
 /// by the delta worklist (clean/dirty proof state plus seeded search),
-/// as `choice` says. [`Scheduling::Rete`] and [`Scheduling::Delta`] put
-/// every reaction on one of them; [`Scheduling::Auto`] chooses per
-/// reaction by cost (`choose_matcher`).
+/// as the session's [`MatcherChoices`] say.
 ///
 /// Both matchers answer enabledness exactly, so the selection rules span
 /// them: deterministic mode fires the lowest-indexed enabled reaction of
@@ -401,64 +394,26 @@ enum SeqMatcher {
 /// and the worklist's dirty ones, which with a single matcher is exactly
 /// that matcher's own draw.
 struct SeqMatchers {
-    choice: Vec<MatcherChoice>,
+    choices: MatcherChoices,
     rete: ReteNetwork,
     sched: DeltaScheduler,
-    /// Cumulative guard evaluations plus firings at each reaction's last
-    /// decision: a wave that added neither gives no reason to re-decide.
-    decided_at: Vec<u64>,
-    /// Wave-boundary matcher switches so far.
-    switches: u64,
     /// Scratch for the seeded pick.
     ready: Vec<usize>,
 }
 
 impl SeqMatchers {
-    /// The build-time choice: forced by the explicit schedulings, by cost
-    /// under [`Scheduling::Auto`].
-    fn choose(
-        compiled: &CompiledProgram,
-        bag: &ElementBag,
-        scheduling: Scheduling,
-    ) -> Vec<MatcherChoice> {
-        let forced = |matcher| MatcherChoice {
-            matcher,
-            pass_rate: None,
-        };
-        compiled
-            .reactions
-            .iter()
-            .map(|cr| match scheduling {
-                Scheduling::Rete => forced(Matcher::Rete),
-                Scheduling::Delta => forced(Matcher::Search),
-                _ => choose_matcher(cr, bag, None),
-            })
-            .collect()
-    }
-
     fn build(
         compiled: &CompiledProgram,
         bag: &ElementBag,
         watermark: usize,
-        choice: Vec<MatcherChoice>,
+        choices: MatcherChoices,
     ) -> SeqMatchers {
         SeqMatchers {
-            rete: ReteNetwork::with_served(
-                compiled,
-                bag,
-                watermark,
-                &Self::mask(&choice, Matcher::Rete),
-            ),
-            sched: DeltaScheduler::with_served(compiled, &Self::mask(&choice, Matcher::Search)),
-            decided_at: vec![0; choice.len()],
-            choice,
-            switches: 0,
+            rete: ReteNetwork::with_served(compiled, bag, watermark, &choices.mask(Matcher::Rete)),
+            sched: DeltaScheduler::with_served(compiled, &choices.mask(Matcher::Search)),
+            choices,
             ready: Vec::new(),
         }
-    }
-
-    fn mask(choice: &[MatcherChoice], matcher: Matcher) -> Vec<bool> {
-        choice.iter().map(|c| c.matcher == matcher).collect()
     }
 
     /// The next firing under the selection policy, or `None` at stable
@@ -526,41 +481,20 @@ impl SeqMatchers {
         self.sched.on_inserted(elements, true);
     }
 
-    /// Wave-boundary re-decision under [`Scheduling::Auto`]. A reaction
-    /// still on Rete that fired or evaluated guards since its last
-    /// decision is re-decided from its profile (or a fresh sample of the
-    /// bag); when search wins it switches — its memories are
-    /// dropped and the worklist takes it over, starting dirty. Search
-    /// never hands a reaction back: its cost is bounded by the candidates
-    /// it examines, and a one-way switch cannot oscillate. Returns the
-    /// reactions that switched.
+    /// Wave-boundary re-decision under [`Scheduling::Auto`] (see
+    /// [`MatcherChoices::rechoose`]): a reaction that switches to search
+    /// drops its memories and the worklist takes it over, starting dirty.
+    /// Returns the reactions that switched.
     fn rechoose(
         &mut self,
         compiled: &CompiledProgram,
         bag: &ElementBag,
         profiles: &ProfileTable,
     ) -> Vec<usize> {
-        let mut switched = Vec::new();
-        for (r, row) in profiles.rows.iter().enumerate() {
-            let evidence = row.guard_evals + row.fired;
-            if self.choice[r].matcher != Matcher::Rete || evidence == self.decided_at[r] {
-                continue;
-            }
-            self.decided_at[r] = evidence;
-            let cr = &compiled.reactions[r];
-            if !cr.search_eligible() {
-                continue;
-            }
-            let next = choose_matcher(cr, bag, Some(row));
-            if next.pass_rate.is_some() {
-                self.choice[r] = next;
-            }
-            if next.matcher == Matcher::Search {
-                self.rete.unserve(compiled, r);
-                self.sched.serve(compiled, r);
-                self.switches += 1;
-                switched.push(r);
-            }
+        let switched = self.choices.rechoose(compiled, profiles, || bag);
+        for &r in &switched {
+            self.rete.unserve(compiled, r);
+            self.sched.serve(compiled, r);
         }
         switched
     }
@@ -572,8 +506,7 @@ enum State {
         multiset: ElementBag,
         matcher: SeqMatcher,
     },
-    Sharded(ShardedState),
-    Probe(ProbeState),
+    Sharded(Box<ShardedState>),
 }
 
 /// A live execution session: compiled reactions plus persistent matcher
@@ -662,12 +595,12 @@ impl Session {
                         order: (0..nreactions).collect(),
                     },
                     scheduling => {
-                        let choice = SeqMatchers::choose(&compiled, &initial, scheduling);
+                        let choices = MatcherChoices::choose(&compiled, &initial, scheduling);
                         SeqMatcher::Matchers(Box::new(SeqMatchers::build(
                             &compiled,
                             &initial,
                             config.rete_watermark,
-                            choice,
+                            choices,
                         )))
                     }
                 };
@@ -677,10 +610,10 @@ impl Session {
                 }
             }
             Engine::Parallel(ParEngine::ShardedRete) => {
-                State::Sharded(ShardedState::build(&compiled, initial, &config))
-            }
-            Engine::Parallel(ParEngine::ProbeRetry) => {
-                State::Probe(ProbeState::build(&compiled, initial, &config))
+                let choices = MatcherChoices::choose(&compiled, &initial, config.scheduling);
+                State::Sharded(Box::new(ShardedState::build(
+                    &compiled, initial, &config, choices,
+                )))
             }
         };
         let trace = (config.record_trace && matches!(config.engine, Engine::Seq)).then(Vec::new);
@@ -774,16 +707,28 @@ impl Session {
         self.config.telemetry.flush();
     }
 
-    /// The matcher serving reaction `r` (`"rete"`, `"search"`,
-    /// `"rescan"` or `"parallel"`) and the pass rate its choice rests on.
-    fn matcher_of(&self, r: usize) -> (&'static str, Option<f64>) {
+    /// The per-reaction matcher choice, unless the session runs the
+    /// rescanning reference.
+    fn choices(&self) -> Option<&MatcherChoices> {
         match &self.state {
             State::Seq {
                 matcher: SeqMatcher::Matchers(m),
                 ..
-            } => (m.choice[r].matcher.as_str(), m.choice[r].pass_rate),
-            State::Seq { .. } => ("rescan", None),
-            _ => ("parallel", None),
+            } => Some(&m.choices),
+            State::Seq { .. } => None,
+            State::Sharded(st) => Some(st.choices()),
+        }
+    }
+
+    /// The matcher serving reaction `r` (`"rete"`, `"search"` or
+    /// `"rescan"`) and the pass rate its choice rests on.
+    fn matcher_of(&self, r: usize) -> (&'static str, Option<f64>) {
+        match self.choices() {
+            Some(c) => {
+                let choice = c.as_slice()[r];
+                (choice.matcher.as_str(), choice.pass_rate)
+            }
+            None => ("rescan", None),
         }
     }
 
@@ -806,29 +751,18 @@ impl Session {
         plan
     }
 
-    /// The matcher serving each reaction of a sequential session built
-    /// with [`Scheduling::Rete`], [`Scheduling::Delta`] or
-    /// [`Scheduling::Auto`], in reaction order; `None` for the rescanning
-    /// reference and the parallel engines.
+    /// The matcher serving each reaction, in reaction order: of a
+    /// sequential session built with [`Scheduling::Rete`],
+    /// [`Scheduling::Delta`] or [`Scheduling::Auto`], and of every
+    /// parallel session; `None` for the rescanning reference.
     pub fn matchers(&self) -> Option<Vec<Matcher>> {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Matchers(m),
-                ..
-            } => Some(m.choice.iter().map(|c| c.matcher).collect()),
-            _ => None,
-        }
+        self.choices()
+            .map(|c| c.as_slice().iter().map(|c| c.matcher).collect())
     }
 
     /// Wave-boundary matcher switches so far (see [`Scheduling::Auto`]).
     pub fn matcher_switches(&self) -> u64 {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Matchers(m),
-                ..
-            } => m.switches,
-            _ => 0,
-        }
+        self.choices().map_or(0, MatcherChoices::switches)
     }
 
     fn with_observer(mut self, observer: Option<WaveObserver>) -> Session {
@@ -884,7 +818,6 @@ impl Session {
         match &self.state {
             State::Seq { multiset, .. } => multiset.len(),
             State::Sharded(st) => st.len(),
-            State::Probe(st) => st.len(),
         }
     }
 
@@ -926,7 +859,6 @@ impl Session {
                 }
             }
             State::Sharded(st) => st.inject(&self.compiled, &elements),
-            State::Probe(st) => st.inject(&elements),
         }
         if self.config.telemetry.enabled() {
             self.emit(TraceEvent::Injected {
@@ -947,7 +879,6 @@ impl Session {
         match &self.state {
             State::Seq { multiset, .. } => multiset.clone(),
             State::Sharded(st) => st.snapshot(),
-            State::Probe(st) => st.snapshot(),
         }
     }
 
@@ -969,14 +900,13 @@ impl Session {
                         &self.compiled,
                         &ElementBag::new(),
                         self.config.rete_watermark,
-                        &SeqMatchers::mask(&m.choice, Matcher::Rete),
+                        &m.choices.mask(Matcher::Rete),
                     );
                     m.rete.stats = stats;
                 }
                 out
             }
             State::Sharded(st) => st.drain_reset(&self.compiled),
-            State::Probe(st) => st.drain(),
         };
         if self.config.telemetry.enabled() {
             self.emit(TraceEvent::Drained {
@@ -1055,19 +985,6 @@ impl Session {
                 }
             }
             State::Sharded(st) => {
-                let ctl = WaveCtl {
-                    recovery: &self.config.recovery,
-                    faults: &self.config.faults,
-                    tel: &self.config.telemetry,
-                    ev: &self.ev,
-                    pool: &self.pool,
-                };
-                let (stats, status) =
-                    st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?;
-                wave_stats = stats;
-                status
-            }
-            State::Probe(st) => {
                 let ctl = WaveCtl {
                     recovery: &self.config.recovery,
                     faults: &self.config.faults,
@@ -1247,20 +1164,20 @@ impl Session {
     }
 
     /// Wave-boundary matcher re-decision under [`Scheduling::Auto`] (see
-    /// `SeqMatchers::rechoose`): never mid-wave, and every matcher
+    /// [`MatcherChoices::rechoose`]): never mid-wave, and every matcher
     /// answers exactly, so determinism and finals are untouched.
     fn maybe_switch_matchers(&mut self) {
         if self.config.scheduling != Scheduling::Auto {
             return;
         }
-        let State::Seq {
-            multiset,
-            matcher: SeqMatcher::Matchers(m),
-        } = &mut self.state
-        else {
-            return;
+        let switched = match &mut self.state {
+            State::Seq {
+                multiset,
+                matcher: SeqMatcher::Matchers(m),
+            } => m.rechoose(&self.compiled, multiset, &self.profiles),
+            State::Seq { .. } => return,
+            State::Sharded(st) => st.rechoose(&self.compiled, &self.profiles),
         };
-        let switched = m.rechoose(&self.compiled, multiset, &self.profiles);
         if self.config.telemetry.enabled() {
             for r in switched {
                 let (to, pass_rate) = self.matcher_of(r);
@@ -1328,7 +1245,6 @@ impl Session {
         let multiset = match self.state {
             State::Seq { multiset, .. } => multiset,
             State::Sharded(st) => st.into_bag(),
-            State::Probe(st) => st.into_bag(),
         };
         ExecResult {
             multiset,
@@ -1357,7 +1273,6 @@ impl Session {
         match &self.state {
             State::Seq { .. } => {}
             State::Sharded(st) => st.fold_lifetime_stats(&mut par),
-            State::Probe(st) => st.fold_lifetime_stats(&mut par),
         }
         par
     }
@@ -1528,7 +1443,6 @@ impl Session {
         let (bag, directory) = match &self.state {
             State::Seq { multiset, .. } => (multiset.clone(), Vec::new()),
             State::Sharded(st) => (st.snapshot(), st.directory_export()),
-            State::Probe(st) => (st.snapshot(), st.directory_export()),
         };
         if self.config.telemetry.enabled() {
             self.emit(TraceEvent::SnapshotTaken {
@@ -1551,13 +1465,7 @@ impl Session {
             sched: self.sched_stats(),
             rete: self.rete_stats(),
             profiles: self.profiles.clone(),
-            matchers: match &self.state {
-                State::Seq {
-                    matcher: SeqMatcher::Matchers(m),
-                    ..
-                } => Some(m.choice.clone()),
-                _ => None,
-            },
+            matchers: self.choices().map(|c| c.as_slice().to_vec()),
             matcher_switches: self.matcher_switches(),
         }
     }
@@ -1621,25 +1529,24 @@ impl Session {
                     // reaction is in the dirty set either way) and only
                     // costs one extra search per reaction.
                     scheduling => {
-                        let choice = match snapshot.matchers.clone() {
-                            Some(c) if c.len() == nreactions => c,
-                            _ => SeqMatchers::choose(&compiled, &snapshot.bag, scheduling),
-                        };
                         let mut m = Box::new(SeqMatchers::build(
                             &compiled,
                             &snapshot.bag,
                             config.rete_watermark,
-                            choice,
+                            MatcherChoices::restore(
+                                &compiled,
+                                &snapshot.bag,
+                                scheduling,
+                                snapshot.matchers.clone(),
+                                snapshot.matcher_switches,
+                                &snapshot.profiles,
+                            ),
                         ));
                         if let Some(stats) = &snapshot.sched {
                             m.sched.stats = stats.clone();
                         }
                         if let Some(stats) = &snapshot.rete {
                             m.rete.stats = stats.clone();
-                        }
-                        m.switches = snapshot.matcher_switches;
-                        for (seen, row) in m.decided_at.iter_mut().zip(&snapshot.profiles.rows) {
-                            *seen = row.guard_evals + row.fired;
                         }
                         SeqMatcher::Matchers(m)
                     }
@@ -1650,14 +1557,18 @@ impl Session {
                 }
             }
             Engine::Parallel(ParEngine::ShardedRete) => {
-                let st = ShardedState::build(&compiled, snapshot.bag, &config);
+                // The captured choice is restored like a sequential one.
+                let choices = MatcherChoices::restore(
+                    &compiled,
+                    &snapshot.bag,
+                    config.scheduling,
+                    snapshot.matchers.clone(),
+                    snapshot.matcher_switches,
+                    &snapshot.profiles,
+                );
+                let st = ShardedState::build(&compiled, snapshot.bag, &config, choices);
                 st.directory_preload(&snapshot.directory);
-                State::Sharded(st)
-            }
-            Engine::Parallel(ParEngine::ProbeRetry) => {
-                let st = ProbeState::build(&compiled, snapshot.bag, &config);
-                st.directory_preload(&snapshot.directory);
-                State::Probe(st)
+                State::Sharded(Box::new(st))
             }
         };
         // Wave-aggregate baselines: restored matcher stats start at the
@@ -1715,9 +1626,6 @@ fn engine_desc(config: &EngineConfig) -> String {
         Engine::Parallel(ParEngine::ShardedRete) => {
             format!("parallel/sharded-rete/{}", config.workers)
         }
-        Engine::Parallel(ParEngine::ProbeRetry) => {
-            format!("parallel/probe-retry/{}", config.workers)
-        }
     }
 }
 
@@ -1752,7 +1660,7 @@ pub struct SessionSnapshot {
     pub config: EngineConfig,
     /// The live multiset at capture time.
     pub bag: ElementBag,
-    /// The parallel engines' key directory (every `(label, tag)` pair
+    /// The parallel engine's key directory (every `(label, tag)` pair
     /// ever seen), empty for sequential sessions.
     pub directory: Vec<(Symbol, Vec<Tag>)>,
     /// Completed waves (also the seed input for parallel wave seeds, so
@@ -1776,9 +1684,8 @@ pub struct SessionSnapshot {
     /// Cumulative per-reaction execution profiles (see
     /// [`crate::telemetry`]).
     pub profiles: ProfileTable,
-    /// The per-reaction matcher choice of a sequential session (see
-    /// [`Session::matchers`]); `None` for the rescanning reference and
-    /// the parallel engines.
+    /// The per-reaction matcher choice (see [`Session::matchers`]);
+    /// `None` for the rescanning reference.
     pub matchers: Option<Vec<MatcherChoice>>,
     /// Wave-boundary matcher switches so far.
     pub matcher_switches: u64,

@@ -109,7 +109,7 @@ pub enum TraceEvent {
         /// and the serving matcher).
         plan: String,
         /// The matcher serving the reaction: `"rete"` or `"search"`
-        /// (sequential sessions), `"rescan"`, or `"parallel"`.
+        /// (sequential and parallel sessions alike), or `"rescan"`.
         matcher: String,
         /// The sampled guard pass rate the matcher choice rests on, when
         /// one was estimated.

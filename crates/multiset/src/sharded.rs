@@ -215,6 +215,15 @@ impl ShardedBag {
         self.shards.iter().map(|s| s.lock()).collect()
     }
 
+    /// Lock the shards `ids` (ascending, without duplicates) and return
+    /// the guards in that order. The lock order matches
+    /// [`Self::claim_and_replace`], so a holder searching several buckets
+    /// in place and concurrent claimants cannot deadlock.
+    pub fn lock_shards(&self, ids: &[usize]) -> Vec<parking_lot::MutexGuard<'_, ElementBag>> {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending shard ids");
+        ids.iter().map(|&s| self.shards[s].lock()).collect()
+    }
+
     /// Lock every shard (in order) and produce a consistent snapshot.
     pub fn snapshot(&self) -> ElementBag {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();

@@ -52,10 +52,11 @@ fn main() {
         let elapsed = t0.elapsed();
         assert_eq!(par.exec.multiset, w.expected, "{workers} workers");
         println!(
-            "parallel x{workers}: {} firings, {} claim races, {} dry probes, {elapsed:?}",
+            "parallel x{workers}: {} firings, {} claim races, {} stolen firings, {} steal misses, {elapsed:?}",
             par.exec.stats.firings_total(),
             par.par.claim_failures,
-            par.par.dry_probes,
+            par.par.stolen_firings,
+            par.par.steal_misses,
         );
     }
 

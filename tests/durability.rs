@@ -172,28 +172,8 @@ fn restored_seq_sessions_match_uninterrupted_finals() {
 /// run's final, with the exact deterministic trace.
 #[test]
 fn snapshot_after_a_matcher_switch_resumes_byte_identically() {
-    use gammaflow::gamma::{ElementSpec, Expr, Matcher, Pattern, ReactionSpec};
-    use gammaflow::multiset::value::{BinOp, CmpOp};
-    let program = GammaProgram::new(vec![
-        ReactionSpec::new("min")
-            .replace(Pattern::pair("x", "n"))
-            .replace(Pattern::pair("y", "n"))
-            .where_(Expr::cmp(CmpOp::Lt, Expr::var("x"), Expr::var("y")))
-            .by(vec![ElementSpec::pair(Expr::var("x"), "n")]),
-        ReactionSpec::new("sieve")
-            .replace(Pattern::pair("x", "p"))
-            .replace(Pattern::pair("y", "p"))
-            .where_(Expr::cmp(
-                CmpOp::Eq,
-                Expr::bin(BinOp::Rem, Expr::var("x"), Expr::var("y")),
-                Expr::int(0),
-            ))
-            .by(vec![ElementSpec::pair(Expr::var("y"), "p")]),
-    ]);
-    let merged: ElementBag = (0..240)
-        .map(|i| Element::pair((i * 7919) % 1009 - 500, "n"))
-        .chain((2..=90).map(|v| Element::pair(v, "p")))
-        .collect();
+    use gammaflow::gamma::Matcher;
+    let (program, merged) = min_and_sieve();
     let waves = split_waves(&merged, 3);
     for selection in [Selection::Deterministic, Selection::Seeded(5)] {
         let run = |interrupt: bool| {
@@ -234,10 +214,95 @@ fn snapshot_after_a_matcher_switch_resumes_byte_identically() {
     }
 }
 
-/// Parallel engines: snapshot after the first wave, restore (which
+/// The sharded engine takes the same wave-boundary switch: the dense
+/// `minimum` fold starts on the slices (nothing to sample in an empty
+/// bag) and moves to search after the first wave. A snapshot taken
+/// after the switch restores onto the same choices through the v4
+/// `matchers` field and finishes on the sequential reference final.
+#[test]
+fn sharded_snapshot_after_a_matcher_switch_restores_the_same_choices() {
+    use gammaflow::gamma::Matcher;
+    let (program, merged) = min_and_sieve();
+    let reference = SeqInterpreter::deterministic(&program, merged.clone())
+        .run()
+        .expect("reference runs");
+    let waves = split_waves(&merged, 3);
+    for workers in [1usize, 2, 8] {
+        let run = |interrupt: bool| {
+            let mut session = Session::build(&program)
+                .engine(Engine::Parallel(ParEngine::ShardedRete))
+                .workers(workers)
+                .start(ElementBag::new())
+                .expect("program compiles");
+            assert_eq!(
+                session.matchers(),
+                Some(vec![Matcher::Rete, Matcher::Rete]),
+                "nothing to sample in an empty bag"
+            );
+            for (i, wave) in waves.iter().enumerate() {
+                assert!(session.inject(wave.clone()).is_accepted());
+                assert_eq!(
+                    session.run_to_stable().expect("wave runs").status,
+                    Status::Stable
+                );
+                if i == 0 {
+                    assert_eq!(
+                        session.matchers(),
+                        Some(vec![Matcher::Search, Matcher::Rete]),
+                        "x{workers}: the fold switched, the sieve stayed"
+                    );
+                    assert_eq!(session.matcher_switches(), 1, "x{workers}");
+                    if interrupt {
+                        let snap = roundtrip(session.snapshot_state());
+                        assert_eq!(snap.version, 4);
+                        session = Session::restore(&program, snap).expect("restore succeeds");
+                        assert_eq!(session.matcher_switches(), 1, "x{workers}");
+                    }
+                }
+            }
+            let matchers = session.matchers();
+            (session.finish_parallel().exec.multiset, matchers)
+        };
+        let (uninterrupted, matchers) = run(false);
+        let (restored, restored_matchers) = run(true);
+        assert_eq!(matchers, restored_matchers, "x{workers}");
+        assert_eq!(uninterrupted, reference.multiset, "x{workers}");
+        assert_eq!(restored, reference.multiset, "x{workers}");
+    }
+}
+
+/// The dense `minimum` fold beside a selective sieve, over a bag that
+/// holds both.
+fn min_and_sieve() -> (GammaProgram, ElementBag) {
+    use gammaflow::gamma::{ElementSpec, Expr, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::{BinOp, CmpOp};
+    let program = GammaProgram::new(vec![
+        ReactionSpec::new("min")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .where_(Expr::cmp(CmpOp::Lt, Expr::var("x"), Expr::var("y")))
+            .by(vec![ElementSpec::pair(Expr::var("x"), "n")]),
+        ReactionSpec::new("sieve")
+            .replace(Pattern::pair("x", "p"))
+            .replace(Pattern::pair("y", "p"))
+            .where_(Expr::cmp(
+                CmpOp::Eq,
+                Expr::bin(BinOp::Rem, Expr::var("x"), Expr::var("y")),
+                Expr::int(0),
+            ))
+            .by(vec![ElementSpec::pair(Expr::var("y"), "p")]),
+    ]);
+    let merged: ElementBag = (0..240)
+        .map(|i| Element::pair((i * 7919) % 1009 - 500, "n"))
+        .chain((2..=90).map(|v| Element::pair(v, "p")))
+        .collect();
+    (program, merged)
+}
+
+/// Parallel engine: snapshot after the first wave, restore (which
 /// rebuilds every worker slice and preloads the key directory), finish
 /// the remaining waves — the final must match the sequential reference
-/// for both engines across worker counts.
+/// across worker counts.
 #[test]
 fn restored_parallel_sessions_match_uninterrupted_finals() {
     for (name, program, initial) in &confluent_workloads() {
@@ -246,15 +311,14 @@ fn restored_parallel_sessions_match_uninterrupted_finals() {
             .expect("reference runs");
         assert_eq!(reference.status, Status::Stable, "{name}");
         let waves = split_waves(initial, 3);
-        for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-            for workers in [1usize, 2, 8] {
-                let restored = run_parallel_session(program, &waves, engine, workers, Some(0));
-                assert_eq!(
-                    restored, reference.multiset,
-                    "{name} {engine:?} x{workers}: restored parallel session \
-                     diverged from the sequential reference"
-                );
-            }
+        let engine = ParEngine::ShardedRete;
+        for workers in [1usize, 2, 8] {
+            let restored = run_parallel_session(program, &waves, engine, workers, Some(0));
+            assert_eq!(
+                restored, reference.multiset,
+                "{name} {engine:?} x{workers}: restored parallel session \
+                 diverged from the sequential reference"
+            );
         }
     }
 }
@@ -296,31 +360,30 @@ fn seq_snapshot_roundtrip_preserves_counters_and_bytes() {
 #[test]
 fn parallel_snapshot_roundtrip_preserves_bag_and_directory() {
     let w = windowed_sum(3, 2, 4, 7);
-    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-        let mut session = Session::build(&w.program)
-            .engine(Engine::Parallel(engine))
-            .workers(2)
-            .start(w.initial.clone())
-            .expect("program compiles");
-        for wave in &w.waves[..2] {
-            assert!(session.inject(wave.iter().cloned()).is_accepted());
-            session.run_to_stable().expect("wave runs");
-        }
-        let snap = roundtrip(session.snapshot_state());
-        assert!(
-            !snap.directory.is_empty(),
-            "{engine:?}: a parallel snapshot must carry the key directory"
-        );
-        let restored = Session::restore(&w.program, snap.clone()).expect("restore succeeds");
-        let again = restored.snapshot_state();
-        assert_eq!(again.bag, snap.bag, "{engine:?}");
-        assert_eq!(again.directory, snap.directory, "{engine:?}");
-        assert_eq!(again.waves_run, snap.waves_run, "{engine:?}");
-        assert_eq!(
-            again.stats.firings_per_reaction, snap.stats.firings_per_reaction,
-            "{engine:?}"
-        );
+    let engine = ParEngine::ShardedRete;
+    let mut session = Session::build(&w.program)
+        .engine(Engine::Parallel(engine))
+        .workers(2)
+        .start(w.initial.clone())
+        .expect("program compiles");
+    for wave in &w.waves[..2] {
+        assert!(session.inject(wave.iter().cloned()).is_accepted());
+        session.run_to_stable().expect("wave runs");
     }
+    let snap = roundtrip(session.snapshot_state());
+    assert!(
+        !snap.directory.is_empty(),
+        "{engine:?}: a parallel snapshot must carry the key directory"
+    );
+    let restored = Session::restore(&w.program, snap.clone()).expect("restore succeeds");
+    let again = restored.snapshot_state();
+    assert_eq!(again.bag, snap.bag, "{engine:?}");
+    assert_eq!(again.directory, snap.directory, "{engine:?}");
+    assert_eq!(again.waves_run, snap.waves_run, "{engine:?}");
+    assert_eq!(
+        again.stats.firings_per_reaction, snap.stats.firings_per_reaction,
+        "{engine:?}"
+    );
 }
 
 /// Restore validates what it is given: a bumped format version or a
@@ -399,10 +462,10 @@ fn restore_refuses_pre_v4_and_accepts_v4() {
     }
 }
 
-/// A v4 snapshot whose config still carries the retired `guard_eval`
-/// and `seed` keys restores unchanged: the snapshot decoder ignores keys
-/// it does not know, so dropping those two `EngineConfig` fields needs
-/// no `SNAPSHOT_VERSION` bump. The restored session resumes to the same
+/// A v4 snapshot whose config still carries the retired `guard_eval`,
+/// `seed` and `sample_cap` keys restores unchanged: the snapshot decoder
+/// ignores keys it does not know, so dropping those `EngineConfig`
+/// fields needs no `SNAPSHOT_VERSION` bump. The restored session resumes to the same
 /// final and deterministic trace as the uninterrupted run.
 #[test]
 fn v4_snapshot_with_retired_config_keys_resumes_identically() {
@@ -426,7 +489,7 @@ fn v4_snapshot_with_retired_config_keys_resumes_identically() {
         assert_eq!(json.matches("\"config\":{").count(), 1, "{name}");
         let old = json.replace(
             "\"config\":{",
-            "\"config\":{\"guard_eval\":\"Tree\",\"seed\":7,",
+            "\"config\":{\"guard_eval\":\"Tree\",\"seed\":7,\"sample_cap\":64,",
         );
         let snap: SessionSnapshot =
             serde_json::from_str(&old).expect("retired config keys are ignored");
@@ -441,6 +504,33 @@ fn v4_snapshot_with_retired_config_keys_resumes_identically() {
         assert_eq!(resumed.multiset, uninterrupted.multiset, "{name}");
         assert_eq!(resumed.trace, uninterrupted.trace, "{name}");
     }
+}
+
+/// A snapshot whose engine names the retired `ProbeRetry` parallel
+/// engine is refused by the decoder with an error — never a panic, and
+/// never silently restored onto another engine.
+#[test]
+fn snapshot_naming_the_retired_probe_retry_engine_is_refused() {
+    let w = cross_sum(16);
+    let mut session = Session::build(&w.program)
+        .engine(Engine::Parallel(ParEngine::ShardedRete))
+        .workers(2)
+        .start(w.initial.clone())
+        .expect("program compiles");
+    session.run_to_stable().expect("wave runs");
+    let json = serde_json::to_string(&session.snapshot_state()).expect("snapshot serializes");
+    assert_eq!(json.matches("\"ShardedRete\"").count(), 1);
+    let retired = json.replace("\"ShardedRete\"", "\"ProbeRetry\"");
+    let decoded = std::panic::catch_unwind(|| serde_json::from_str::<SessionSnapshot>(&retired))
+        .expect("decoding never panics");
+    assert!(
+        decoded.is_err(),
+        "a ProbeRetry snapshot must be refused, not restored"
+    );
+    // The untouched snapshot still decodes and restores.
+    let snap: SessionSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
+    let restored = Session::restore(&w.program, snap).expect("restore succeeds");
+    assert_eq!(restored.snapshot(), session.snapshot());
 }
 
 /// `Status::BudgetExhausted` is a pause, not a failure: granting more
@@ -501,33 +591,32 @@ fn parallel_budget_exhaustion_resumes_after_grant() {
         if reference.stats.firings_total() <= 5 {
             continue;
         }
-        for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-            let mut session = Session::build(program)
-                .engine(Engine::Parallel(engine))
-                .workers(2)
-                .budget(5)
-                .start(initial.clone())
-                .expect("program compiles");
-            let mut grants = 0u64;
-            loop {
-                let wv = session.run_to_stable().expect("wave runs");
-                match wv.status {
-                    Status::Stable => break,
-                    Status::BudgetExhausted => {
-                        grants += 1;
-                        assert!(grants < 10_000, "{name} {engine:?}: no progress");
-                        session.grant_budget(5);
-                    }
+        let engine = ParEngine::ShardedRete;
+        let mut session = Session::build(program)
+            .engine(Engine::Parallel(engine))
+            .workers(2)
+            .budget(5)
+            .start(initial.clone())
+            .expect("program compiles");
+        let mut grants = 0u64;
+        loop {
+            let wv = session.run_to_stable().expect("wave runs");
+            match wv.status {
+                Status::Stable => break,
+                Status::BudgetExhausted => {
+                    grants += 1;
+                    assert!(grants < 10_000, "{name} {engine:?}: no progress");
+                    session.grant_budget(5);
                 }
             }
-            assert!(grants > 0, "{name} {engine:?}: budget never exhausted");
-            assert_eq!(
-                session.finish_parallel().exec.multiset,
-                reference.multiset,
-                "{name} {engine:?}: resumed parallel run diverged from the \
-                 sequential reference"
-            );
         }
+        assert!(grants > 0, "{name} {engine:?}: budget never exhausted");
+        assert_eq!(
+            session.finish_parallel().exec.multiset,
+            reference.multiset,
+            "{name} {engine:?}: resumed parallel run diverged from the \
+             sequential reference"
+        );
     }
 }
 
@@ -604,26 +693,25 @@ fn restore_after_budget_exhaustion_finishes_to_the_same_final() {
         if seq_reference.stats.firings_total() <= 7 {
             continue;
         }
-        for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-            let mut session = Session::build(program)
-                .engine(Engine::Parallel(engine))
-                .workers(2)
-                .budget(7)
-                .start(initial.clone())
-                .expect("program compiles");
-            let wv = session.run_to_stable().expect("wave runs");
-            assert_eq!(wv.status, Status::BudgetExhausted, "{name} {engine:?}");
-            let snap = roundtrip(session.snapshot_state());
-            let mut restored = Session::restore(program, snap).expect("restore succeeds");
-            restored.grant_budget(u64::MAX);
-            let wv = restored.run_to_stable().expect("resumed wave runs");
-            assert_eq!(wv.status, Status::Stable, "{name} {engine:?}");
-            assert_eq!(
-                restored.finish_parallel().exec.multiset,
-                seq_reference.multiset,
-                "{name} {engine:?}: mid-stream parallel restore diverged"
-            );
-        }
+        let engine = ParEngine::ShardedRete;
+        let mut session = Session::build(program)
+            .engine(Engine::Parallel(engine))
+            .workers(2)
+            .budget(7)
+            .start(initial.clone())
+            .expect("program compiles");
+        let wv = session.run_to_stable().expect("wave runs");
+        assert_eq!(wv.status, Status::BudgetExhausted, "{name} {engine:?}");
+        let snap = roundtrip(session.snapshot_state());
+        let mut restored = Session::restore(program, snap).expect("restore succeeds");
+        restored.grant_budget(u64::MAX);
+        let wv = restored.run_to_stable().expect("resumed wave runs");
+        assert_eq!(wv.status, Status::Stable, "{name} {engine:?}");
+        assert_eq!(
+            restored.finish_parallel().exec.multiset,
+            seq_reference.multiset,
+            "{name} {engine:?}: mid-stream parallel restore diverged"
+        );
     }
 }
 
@@ -666,15 +754,11 @@ fn spilled_outcome_returns_the_exact_overflow() {
 /// End-to-end backpressure: bursty arrivals against a bag budget smaller
 /// than the burst force spills; re-injecting the spilled overflow after
 /// each draining wave converges to the same stable multiset unbounded
-/// injection reaches — on the sequential and both parallel engines.
+/// injection reaches — on the sequential and the parallel engine.
 #[test]
 fn backpressure_spill_and_reinject_converges() {
     let w = burst_drain(4, 6, 13);
-    for engine in [
-        Engine::Seq,
-        Engine::Parallel(ParEngine::ShardedRete),
-        Engine::Parallel(ParEngine::ProbeRetry),
-    ] {
+    for engine in [Engine::Seq, Engine::Parallel(ParEngine::ShardedRete)] {
         let mut session = Session::build(&w.program)
             .engine(engine)
             .workers(2)

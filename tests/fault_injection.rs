@@ -16,11 +16,11 @@
 #![cfg(feature = "fault-inject")]
 
 use gammaflow::gamma::{
-    Engine, ExecError, Fault, FaultPlan, OnExhausted, ParEngine, ParError, RecoveryPolicy,
+    Engine, ExecError, Fault, FaultPlan, Matcher, OnExhausted, ParEngine, ParError, RecoveryPolicy,
     RingSink, SeqInterpreter, Session, SessionSnapshot, Status, TraceEvent,
 };
 use gammaflow::multiset::ElementBag;
-use gammaflow::workloads::cross_sum;
+use gammaflow::workloads::{cross_sum, sum};
 use std::sync::Arc;
 
 /// The fault-free sequential reference final for `cross_sum(n)`.
@@ -34,8 +34,7 @@ fn reference_final(n: i64) -> ElementBag {
 }
 
 /// Seeded single-fault plans (worker panics, mailbox drops, mailbox
-/// delays at pseudo-random trip points) across both parallel engines and
-/// worker counts: every run must recover to the byte-identical reference
+/// delays at pseudo-random trip points) across worker counts: every run must recover to the byte-identical reference
 /// final, and across the matrix at least one worker must genuinely die
 /// and be replayed (the faults are not decorative).
 #[test]
@@ -45,30 +44,29 @@ fn seeded_fault_matrix_recovers_byte_identical_finals() {
     let mut lost = 0u64;
     let mut replayed = 0u64;
     for seed in 0..8u64 {
-        for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-            for workers in [1usize, 2, 8] {
-                let plan = FaultPlan::seeded(seed, workers);
-                let mut session = Session::build(&w.program)
-                    .engine(Engine::Parallel(engine))
-                    .workers(workers)
-                    .faults(plan.clone())
-                    .start(w.initial.clone())
-                    .expect("program compiles");
-                let wv = session.run_to_stable().expect("wave recovers");
-                assert_eq!(
-                    wv.status,
-                    Status::Stable,
-                    "seed {seed} {engine:?} x{workers}"
-                );
-                let result = session.finish_parallel();
-                assert_eq!(
-                    result.exec.multiset, reference,
-                    "seed {seed} {engine:?} x{workers} ({plan:?}): recovered \
-                     final diverged from the fault-free reference"
-                );
-                lost += result.par.workers_lost;
-                replayed += result.par.waves_replayed;
-            }
+        let engine = ParEngine::ShardedRete;
+        for workers in [1usize, 2, 8] {
+            let plan = FaultPlan::seeded(seed, workers);
+            let mut session = Session::build(&w.program)
+                .engine(Engine::Parallel(engine))
+                .workers(workers)
+                .faults(plan.clone())
+                .start(w.initial.clone())
+                .expect("program compiles");
+            let wv = session.run_to_stable().expect("wave recovers");
+            assert_eq!(
+                wv.status,
+                Status::Stable,
+                "seed {seed} {engine:?} x{workers}"
+            );
+            let result = session.finish_parallel();
+            assert_eq!(
+                result.exec.multiset, reference,
+                "seed {seed} {engine:?} x{workers} ({plan:?}): recovered \
+                 final diverged from the fault-free reference"
+            );
+            lost += result.par.workers_lost;
+            replayed += result.par.waves_replayed;
         }
     }
     assert!(lost > 0, "the seeded matrix must actually lose workers");
@@ -86,39 +84,79 @@ fn seeded_fault_matrix_recovers_byte_identical_finals() {
 fn injected_worker_panic_is_recovered_by_wave_replay() {
     let w = cross_sum(48);
     let reference = reference_final(48);
-    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-        for workers in [1usize, 2, 8] {
-            let plan = FaultPlan::single(
-                0,
-                Fault::WorkerPanic {
-                    worker: 0,
-                    at_firing: 1,
-                },
+    let engine = ParEngine::ShardedRete;
+    for workers in [1usize, 2, 8] {
+        let plan = FaultPlan::single(
+            0,
+            Fault::WorkerPanic {
+                worker: 0,
+                at_firing: 1,
+            },
+        );
+        let mut session = Session::build(&w.program)
+            .engine(Engine::Parallel(engine))
+            .workers(workers)
+            .faults(plan)
+            .start(w.initial.clone())
+            .expect("program compiles");
+        let wv = session.run_to_stable().expect("wave replay recovers");
+        assert_eq!(wv.status, Status::Stable, "{engine:?} x{workers}");
+        // The recovered session is not spent: an (empty) follow-up
+        // wave runs cleanly on the rebuilt worker slices.
+        let wv = session.run_to_stable().expect("post-recovery wave runs");
+        assert_eq!(wv.status, Status::Stable, "{engine:?} x{workers}");
+        let result = session.finish_parallel();
+        assert_eq!(
+            result.exec.multiset, reference,
+            "{engine:?} x{workers}: recovered final diverged"
+        );
+        if workers == 1 {
+            assert!(
+                result.par.workers_lost >= 1,
+                "{engine:?}: the sole worker fires first, so the panic must trip"
             );
-            let mut session = Session::build(&w.program)
-                .engine(Engine::Parallel(engine))
-                .workers(workers)
-                .faults(plan)
-                .start(w.initial.clone())
-                .expect("program compiles");
-            let wv = session.run_to_stable().expect("wave replay recovers");
-            assert_eq!(wv.status, Status::Stable, "{engine:?} x{workers}");
-            // The recovered session is not spent: an (empty) follow-up
-            // wave runs cleanly on the rebuilt worker slices.
-            let wv = session.run_to_stable().expect("post-recovery wave runs");
-            assert_eq!(wv.status, Status::Stable, "{engine:?} x{workers}");
-            let result = session.finish_parallel();
-            assert_eq!(
-                result.exec.multiset, reference,
-                "{engine:?} x{workers}: recovered final diverged"
-            );
-            if workers == 1 {
-                assert!(
-                    result.par.workers_lost >= 1,
-                    "{engine:?}: the sole worker fires first, so the panic must trip"
-                );
-                assert!(result.par.waves_replayed >= 1, "{engine:?}");
-            }
+            assert!(result.par.waves_replayed >= 1, "{engine:?}");
+        }
+    }
+}
+
+/// A quarantined and replayed wave on the paper's `sum` fold, which the
+/// sharded engine serves by search from its owner's dirty set. The lost
+/// attempt's dirty sets unwound with it, so the replay must re-arm them
+/// over the restored entry bag — otherwise the replayed wave proves
+/// itself stable without firing and keeps the unreduced entry bag.
+#[test]
+fn replayed_search_wave_rearms_the_dirty_sets() {
+    let w = sum(&(1..=64).collect::<Vec<i64>>());
+    for workers in [1usize, 2, 8] {
+        let plan = FaultPlan::single(
+            0,
+            Fault::WorkerPanic {
+                worker: 0,
+                at_firing: 1,
+            },
+        );
+        let mut session = Session::build(&w.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(workers)
+            .faults(plan)
+            .start(w.initial.clone())
+            .expect("program compiles");
+        assert_eq!(
+            session.matchers(),
+            Some(vec![Matcher::Search]),
+            "the dense fold is searched"
+        );
+        let wv = session.run_to_stable().expect("wave replay recovers");
+        assert_eq!(wv.status, Status::Stable, "x{workers}");
+        let result = session.finish_parallel();
+        assert_eq!(
+            result.exec.multiset, w.expected,
+            "x{workers}: the replayed wave must reach the self-check final"
+        );
+        if workers == 1 {
+            assert!(result.par.workers_lost >= 1, "the sole worker must trip");
+            assert!(result.par.waves_replayed >= 1);
         }
     }
 }
@@ -192,36 +230,35 @@ fn mailbox_delay_only_stalls_the_wave() {
 #[test]
 fn persistent_fault_exhausts_replays_into_worker_lost() {
     let w = cross_sum(32);
-    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-        let plan = FaultPlan {
-            persistent: true,
-            ..FaultPlan::single(
-                0,
-                Fault::WorkerPanic {
-                    worker: 0,
-                    at_firing: 1,
-                },
-            )
-        };
-        let mut session = Session::build(&w.program)
-            .engine(Engine::Parallel(engine))
-            .workers(1)
-            .faults(plan)
-            .recovery(RecoveryPolicy {
-                max_replays: 2,
-                on_exhausted: OnExhausted::Error,
-            })
-            .start(w.initial.clone())
-            .expect("program compiles");
-        let Err(err) = session.run_to_stable() else {
-            panic!("{engine:?}: a persistent panic must exhaust recovery");
-        };
-        let ExecError::Par(ParError::WorkerLost { workers, replays }) = err else {
-            panic!("{engine:?}: expected WorkerLost, got {err:?}");
-        };
-        assert_eq!(workers, vec![0], "{engine:?}");
-        assert_eq!(replays, 2, "{engine:?}: both replays must be attempted");
-    }
+    let engine = ParEngine::ShardedRete;
+    let plan = FaultPlan {
+        persistent: true,
+        ..FaultPlan::single(
+            0,
+            Fault::WorkerPanic {
+                worker: 0,
+                at_firing: 1,
+            },
+        )
+    };
+    let mut session = Session::build(&w.program)
+        .engine(Engine::Parallel(engine))
+        .workers(1)
+        .faults(plan)
+        .recovery(RecoveryPolicy {
+            max_replays: 2,
+            on_exhausted: OnExhausted::Error,
+        })
+        .start(w.initial.clone())
+        .expect("program compiles");
+    let Err(err) = session.run_to_stable() else {
+        panic!("{engine:?}: a persistent panic must exhaust recovery");
+    };
+    let ExecError::Par(ParError::WorkerLost { workers, replays }) = err else {
+        panic!("{engine:?}: expected WorkerLost, got {err:?}");
+    };
+    assert_eq!(workers, vec![0], "{engine:?}");
+    assert_eq!(replays, 2, "{engine:?}: both replays must be attempted");
 }
 
 /// With `OnExhausted::DegradeToSeq` the same persistent fault ends in a
@@ -231,52 +268,47 @@ fn persistent_fault_exhausts_replays_into_worker_lost() {
 fn persistent_fault_degrades_to_sequential_completion() {
     let w = cross_sum(32);
     let reference = reference_final(32);
-    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-        let plan = FaultPlan {
-            persistent: true,
-            ..FaultPlan::single(
-                0,
-                Fault::WorkerPanic {
-                    worker: 0,
-                    at_firing: 1,
-                },
-            )
-        };
-        let mut session = Session::build(&w.program)
-            .engine(Engine::Parallel(engine))
-            .workers(1)
-            .faults(plan)
-            .recovery(RecoveryPolicy {
-                max_replays: 1,
-                on_exhausted: OnExhausted::DegradeToSeq,
-            })
-            .start(w.initial.clone())
-            .expect("program compiles");
-        let wv = session.run_to_stable().expect("degraded wave completes");
-        assert_eq!(wv.status, Status::Stable, "{engine:?}");
-        // The degraded session keeps taking waves.
-        let wv = session.run_to_stable().expect("post-degrade wave runs");
-        assert_eq!(wv.status, Status::Stable, "{engine:?}");
-        let result = session.finish_parallel();
-        assert_eq!(result.exec.multiset, reference, "{engine:?}");
-        assert!(result.par.degraded_waves >= 1, "{engine:?}");
-        assert!(result.par.waves_replayed >= 1, "{engine:?}");
-    }
+    let engine = ParEngine::ShardedRete;
+    let plan = FaultPlan {
+        persistent: true,
+        ..FaultPlan::single(
+            0,
+            Fault::WorkerPanic {
+                worker: 0,
+                at_firing: 1,
+            },
+        )
+    };
+    let mut session = Session::build(&w.program)
+        .engine(Engine::Parallel(engine))
+        .workers(1)
+        .faults(plan)
+        .recovery(RecoveryPolicy {
+            max_replays: 1,
+            on_exhausted: OnExhausted::DegradeToSeq,
+        })
+        .start(w.initial.clone())
+        .expect("program compiles");
+    let wv = session.run_to_stable().expect("degraded wave completes");
+    assert_eq!(wv.status, Status::Stable, "{engine:?}");
+    // The degraded session keeps taking waves.
+    let wv = session.run_to_stable().expect("post-degrade wave runs");
+    assert_eq!(wv.status, Status::Stable, "{engine:?}");
+    let result = session.finish_parallel();
+    assert_eq!(result.exec.multiset, reference, "{engine:?}");
+    assert!(result.par.degraded_waves >= 1, "{engine:?}");
+    assert!(result.par.waves_replayed >= 1, "{engine:?}");
 }
 
 /// The snapshot-mid-wave fault point: `PauseMidWave` stops wave 0 at a
 /// deterministic firing count, the paused session crosses the wire via
 /// JSON, and the restored session finishes to the fault-free reference —
-/// on the sequential engine and both parallel engines.
+/// on the sequential and the parallel engine.
 #[test]
 fn pause_mid_wave_snapshot_restore_finishes_exactly() {
     let w = cross_sum(32);
     let reference = reference_final(32);
-    for engine in [
-        Engine::Seq,
-        Engine::Parallel(ParEngine::ShardedRete),
-        Engine::Parallel(ParEngine::ProbeRetry),
-    ] {
+    for engine in [Engine::Seq, Engine::Parallel(ParEngine::ShardedRete)] {
         let plan = FaultPlan::single(0, Fault::PauseMidWave { at_firing: 5 });
         let mut session = Session::build(&w.program)
             .engine(engine)
@@ -315,66 +347,65 @@ fn pause_mid_wave_snapshot_restore_finishes_exactly() {
 fn recovery_events_reconcile_with_par_stats() {
     let w = cross_sum(32);
     let reference = reference_final(32);
-    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-        let ring = Arc::new(RingSink::new(1 << 20));
-        let plan = FaultPlan {
-            persistent: true,
-            ..FaultPlan::single(
-                0,
-                Fault::WorkerPanic {
-                    worker: 0,
-                    at_firing: 1,
-                },
-            )
-        };
-        let mut session = Session::build(&w.program)
-            .engine(Engine::Parallel(engine))
-            .workers(1)
-            .faults(plan)
-            .recovery(RecoveryPolicy {
-                max_replays: 2,
-                on_exhausted: OnExhausted::DegradeToSeq,
-            })
-            .trace_sink(ring.clone())
-            .start(w.initial.clone())
-            .expect("program compiles");
-        let wv = session.run_to_stable().expect("degraded wave completes");
-        assert_eq!(wv.status, Status::Stable, "{engine:?}");
-        let result = session.finish_parallel();
-        assert_eq!(result.exec.multiset, reference, "{engine:?}");
-        assert_eq!(ring.dropped(), 0, "{engine:?}: ring must not drop");
+    let engine = ParEngine::ShardedRete;
+    let ring = Arc::new(RingSink::new(1 << 20));
+    let plan = FaultPlan {
+        persistent: true,
+        ..FaultPlan::single(
+            0,
+            Fault::WorkerPanic {
+                worker: 0,
+                at_firing: 1,
+            },
+        )
+    };
+    let mut session = Session::build(&w.program)
+        .engine(Engine::Parallel(engine))
+        .workers(1)
+        .faults(plan)
+        .recovery(RecoveryPolicy {
+            max_replays: 2,
+            on_exhausted: OnExhausted::DegradeToSeq,
+        })
+        .trace_sink(ring.clone())
+        .start(w.initial.clone())
+        .expect("program compiles");
+    let wv = session.run_to_stable().expect("degraded wave completes");
+    assert_eq!(wv.status, Status::Stable, "{engine:?}");
+    let result = session.finish_parallel();
+    assert_eq!(result.exec.multiset, reference, "{engine:?}");
+    assert_eq!(ring.dropped(), 0, "{engine:?}: ring must not drop");
 
-        let records = ring.records();
-        let mut tripped = 0u64;
-        let mut lost = 0u64;
-        let mut replayed = 0u64;
-        let mut degraded = 0u64;
-        for r in &records {
-            match &r.event {
-                TraceEvent::FaultTripped { .. } => tripped += 1,
-                TraceEvent::WaveQuarantined { workers_lost, .. } => lost += workers_lost,
-                TraceEvent::WaveReplayed { .. } => replayed += 1,
-                TraceEvent::DegradedToSeq { .. } => degraded += 1,
-                _ => {}
-            }
+    let records = ring.records();
+    let mut tripped = 0u64;
+    let mut lost = 0u64;
+    let mut replayed = 0u64;
+    let mut degraded = 0u64;
+    for r in &records {
+        match &r.event {
+            TraceEvent::FaultTripped { .. } => tripped += 1,
+            TraceEvent::WaveQuarantined { workers_lost, .. } => lost += workers_lost,
+            TraceEvent::WaveReplayed { .. } => replayed += 1,
+            TraceEvent::DegradedToSeq { .. } => degraded += 1,
+            _ => {}
         }
-        assert!(tripped >= 1, "{engine:?}: the armed fault must announce");
-        assert_eq!(
-            lost, result.par.workers_lost,
-            "{engine:?}: quarantine events must carry every lost worker"
-        );
-        assert_eq!(
-            replayed, result.par.waves_replayed,
-            "{engine:?}: one replay event per counted replay"
-        );
-        assert_eq!(
-            degraded, result.par.degraded_waves,
-            "{engine:?}: one degrade event per degraded wave"
-        );
-        // The persistent single-worker panic makes the exact shape known:
-        // initial attempt + 2 replays all die, then the degrade.
-        assert_eq!(lost, 3, "{engine:?}");
-        assert_eq!(replayed, 2, "{engine:?}");
-        assert_eq!(degraded, 1, "{engine:?}");
     }
+    assert!(tripped >= 1, "{engine:?}: the armed fault must announce");
+    assert_eq!(
+        lost, result.par.workers_lost,
+        "{engine:?}: quarantine events must carry every lost worker"
+    );
+    assert_eq!(
+        replayed, result.par.waves_replayed,
+        "{engine:?}: one replay event per counted replay"
+    );
+    assert_eq!(
+        degraded, result.par.degraded_waves,
+        "{engine:?}: one degrade event per degraded wave"
+    );
+    // The persistent single-worker panic makes the exact shape known:
+    // initial attempt + 2 replays all die, then the degrade.
+    assert_eq!(lost, 3, "{engine:?}");
+    assert_eq!(replayed, 2, "{engine:?}");
+    assert_eq!(degraded, 1, "{engine:?}");
 }

@@ -140,14 +140,13 @@ fn firing_events_conserve_exec_stats_across_engines() {
         cells.push((format!("seq/{scheduling:?}"), Engine::Seq, scheduling));
     }
     let mut parallel: Vec<(String, Engine, usize)> = Vec::new();
-    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-        for workers in [1usize, 2, 8] {
-            parallel.push((
-                format!("{engine:?}/w{workers}"),
-                Engine::Parallel(engine),
-                workers,
-            ));
-        }
+    let engine = ParEngine::ShardedRete;
+    for workers in [1usize, 2, 8] {
+        parallel.push((
+            format!("{engine:?}/w{workers}"),
+            Engine::Parallel(engine),
+            workers,
+        ));
     }
 
     for (name, engine, scheduling) in cells {

@@ -261,6 +261,55 @@ fn auto_serves_a_mixed_program_with_both_matchers() {
     assert!(seeded.sched.expect("search serves the fold").full_searches > 0);
 }
 
+/// The sharded engine takes the same per-reaction choice as a
+/// sequential `Auto` session on the mixed program — the fold is
+/// searched from its owner's dirty set, the sieve and the relabel keep
+/// Rete slices — and lands on the self-check and Rescan-oracle final at
+/// every worker count.
+#[test]
+fn sharded_auto_serves_a_mixed_program_with_both_matchers() {
+    use gammaflow::gamma::{Matcher, Session};
+    use gammaflow::multiset::Element;
+    let n = 200i64;
+    let (program, initial) = mixed_program(n);
+    let is_prime = |v: i64| (2..v).take_while(|d| d * d <= v).all(|d| v % d != 0);
+    let composites: i64 = (2..=n).filter(|&v| !is_prime(v)).sum();
+    let expected: ElementBag = (2..=n)
+        .filter(|&v| is_prime(v))
+        .map(|v| Element::pair(v, "p"))
+        .chain([Element::pair(n * (n + 1) / 2 + composites, "n")])
+        .collect();
+    let oracle = run_with(
+        &program,
+        &initial,
+        Selection::Deterministic,
+        Scheduling::Rescan,
+    );
+    assert_eq!(oracle.multiset, expected, "self-check");
+    for workers in [1usize, 2, 8] {
+        let mut session = Session::build(&program)
+            .config(EngineConfig {
+                selection: Selection::Seeded(7),
+                ..EngineConfig::parallel(workers)
+            })
+            .start(initial.clone())
+            .unwrap();
+        assert_eq!(
+            session.matchers(),
+            Some(vec![Matcher::Rete, Matcher::Search, Matcher::Rete]),
+            "x{workers}: sieve keeps Rete, the fold is searched, the relabel keeps Rete"
+        );
+        let wave = session.run_to_stable().unwrap();
+        assert_eq!(wave.status, Status::Stable, "x{workers}");
+        let result = session.finish_parallel();
+        assert_eq!(result.exec.multiset, expected, "x{workers}: self-check");
+        assert_eq!(
+            result.exec.multiset, oracle.multiset,
+            "x{workers}: Rescan oracle"
+        );
+    }
+}
+
 #[test]
 fn auto_classifies_reactions_by_cost() {
     use gammaflow::gamma::{Matcher, Session};
@@ -587,8 +636,9 @@ fn adversarial_cross_sum_peak_tokens_bounded_by_watermark() {
     );
 }
 
-/// The parallel-engine matrix: both worker loops (sampled probe-retry
-/// and delta-driven sharded rete), across worker counts, must land on
+/// The parallel-engine matrix: the sharded engine, across worker counts
+/// and matcher choices (`Auto`, every reaction on Rete slices, every
+/// reaction searched from its owner's dirty set), must land on
 /// the byte-identical stable multiset the sequential reference computes
 /// — these workloads are confluent, so the final state is
 /// schedule-independent even though parallel interleavings are not.
@@ -620,23 +670,24 @@ fn parallel_matrix_byte_identical_finals() {
         let reference = run_with(program, initial, Selection::Deterministic, Scheduling::Rete);
         assert_eq!(reference.status, Status::Stable, "{name}");
         for workers in [1usize, 2, 8] {
-            for engine in [ParEngine::ProbeRetry, ParEngine::ShardedRete] {
+            for scheduling in [Scheduling::Auto, Scheduling::Rete, Scheduling::Delta] {
                 let config = EngineConfig {
                     workers,
-                    engine: Engine::Parallel(engine),
+                    engine: Engine::Parallel(ParEngine::ShardedRete),
+                    scheduling,
                     selection: Selection::Seeded(7),
                     ..EngineConfig::default()
                 };
                 let result = run_parallel(program, initial.clone(), &config)
-                    .unwrap_or_else(|e| panic!("{name} {engine:?} x{workers}: {e}"));
+                    .unwrap_or_else(|e| panic!("{name} {scheduling:?} x{workers}: {e}"));
                 assert_eq!(
                     result.exec.status,
                     Status::Stable,
-                    "{name} {engine:?} x{workers}"
+                    "{name} {scheduling:?} x{workers}"
                 );
                 assert_eq!(
                     result.exec.multiset, reference.multiset,
-                    "{name} {engine:?} x{workers}: finals diverged from the sequential reference"
+                    "{name} {scheduling:?} x{workers}: finals diverged from the sequential reference"
                 );
             }
         }
@@ -644,9 +695,10 @@ fn parallel_matrix_byte_identical_finals() {
 }
 
 /// The sharded engine's per-worker slices honour the spill watermark:
-/// the adversarial n² fold must keep every slice's peak beta tokens
-/// within the watermark plus one delta burst, and the spill counters
-/// (including the ones the old aggregation dropped) must be visible.
+/// the adversarial n² fold, held on Rete (`Auto` would search it), must
+/// keep every slice's peak beta tokens within the watermark plus one
+/// delta burst, and the spill counters (including the ones the old
+/// aggregation dropped) must be visible.
 #[test]
 fn parallel_sharded_per_shard_tokens_bounded_by_watermark() {
     let n = 150i64;
@@ -655,6 +707,7 @@ fn parallel_sharded_per_shard_tokens_bounded_by_watermark() {
     let config = EngineConfig {
         rete_watermark: watermark,
         selection: Selection::Seeded(1),
+        scheduling: Scheduling::Rete,
         ..EngineConfig::parallel(4)
     };
     let result = run_parallel(&w.program, w.initial.clone(), &config).unwrap();

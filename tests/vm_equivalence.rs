@@ -385,15 +385,14 @@ fn forced_mid_run_tier_up_preserves_traces_and_finals() {
         ] {
             cells.push((format!("seq/{scheduling:?}"), Engine::Seq, scheduling, 1));
         }
-        for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-            for workers in [1usize, 2, 8] {
-                cells.push((
-                    format!("parallel/{engine:?}/x{workers}"),
-                    Engine::Parallel(engine),
-                    Scheduling::Rete,
-                    workers,
-                ));
-            }
+        let engine = ParEngine::ShardedRete;
+        for workers in [1usize, 2, 8] {
+            cells.push((
+                format!("parallel/{engine:?}/x{workers}"),
+                Engine::Parallel(engine),
+                Scheduling::Rete,
+                workers,
+            ));
         }
         for (cell, engine, scheduling, workers) in cells {
             let name = format!("{} {cell}", w.name);
